@@ -17,7 +17,6 @@ from .algebra import (
     StructureError,
     StructureTensor,
     as_scalar,
-    bracket,
     format_scalar,
     is_semisimple,
     jacobi_residual,
@@ -34,7 +33,7 @@ from .families import (
     family_basis_names,
     family_dimension,
     family_parameter_names,
-    so2_conformality_constraint,
+    so2_failed_relation,
     totally_geodesic_conditions,
 )
 from .geometry import (
@@ -75,7 +74,6 @@ __all__ = [
     "SweepReport",
     "ThetaSolution",
     "as_scalar",
-    "bracket",
     "build_family",
     "build_so2_raw_setup",
     "check_conformal_bracket_condition",
@@ -98,6 +96,6 @@ __all__ = [
     "run_sweep",
     "second_fundamental_form_horizontal",
     "second_fundamental_form_vertical",
-    "so2_conformality_constraint",
+    "so2_failed_relation",
     "totally_geodesic_conditions",
 ]

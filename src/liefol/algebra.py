@@ -9,6 +9,7 @@ explicit tolerance.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -17,6 +18,9 @@ Scalar = Fraction
 ScalarLike = Union[Fraction, int, str, float]
 
 ZERO = Fraction(0)
+
+# The accepted string forms: an integer or "p/q", ASCII digits only.
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class StructureError(ValueError):
@@ -50,11 +54,11 @@ def as_scalar(value: ScalarLike, *, float_tolerance: Fraction | None = None) -> 
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
+        if not _RATIONAL_LITERAL.fullmatch(text):
             raise StructureError(f"not an exact rational literal: {value!r}")
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise StructureError(f"not an exact rational literal: {value!r}") from exc
     if isinstance(value, float):
         if float_tolerance is None:
@@ -127,10 +131,6 @@ class StructureTensor:
             table[j][i] = [-v for v in vec]
         frozen = tuple(tuple(tuple(v) for v in row) for row in table)
         return cls(dim, frozen)
-
-    def row(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """Coefficient vector of [e_i, e_j]."""
-        return self.c[i][j]
 
     def bracket(self, u: Sequence[ScalarLike], v: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
         """Bilinear extension: [u, v] = sum_ij u_i v_j [e_i, e_j]."""
@@ -264,7 +264,7 @@ class MetricFrame:
     def __post_init__(self):
         if not self.epsilon:
             raise StructureError("metric frame must have positive dimension")
-        if any(e not in (1, -1) for e in self.epsilon):
+        if any(type(e) is not int or e not in (1, -1) for e in self.epsilon):
             raise StructureError(f"causal characters must be +1 or -1, got {self.epsilon}")
 
     @property
@@ -336,7 +336,3 @@ class FoliationSetup:
     def eps(self, i: int) -> int:
         return self.frame.epsilon[i]
 
-
-def bracket(setup: FoliationSetup, u: Sequence[ScalarLike], v: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
-    """Bilinear bracket of coefficient vectors in the setup's algebra."""
-    return setup.tensor.bracket(u, v)

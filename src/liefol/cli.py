@@ -7,12 +7,14 @@ each pair at most once (the mirror rows are implied), "vertical": [ints],
 so no floating point ever enters the exact pipeline.
 
 Exit codes: 0 ok; 1 sweep found disagreements; 2 Jacobi failure; 3 parse /
-unknown-family error; 4 family constraint violation.
+unknown-family / invalid-argument error or unwritable output path; 4 family
+constraint violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -126,7 +128,7 @@ def setup_to_document(setup: FoliationSetup, meta: dict | None = None) -> dict:
     brackets = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            row = setup.tensor.row(i, j)
+            row = setup.tensor.c[i][j]
             if any(row):
                 brackets.append(
                     {"i": i, "j": j, "coeffs": [format_scalar(v) for v in row]}
@@ -252,18 +254,30 @@ def cmd_family(args) -> int:
         "theta": {f"theta{i + 1}": format_scalar(t) for i, t in enumerate(theta)},
     }
     text = json.dumps(setup_to_document(setup, meta), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with _open_output(args.out) as out:
+            out.write(text)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
+
+
+def _open_output(path: str):
+    """Open an output file for writing; an unwritable path is a ParseError."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(path, exc.strerror or str(exc)) from None
 
 
 def _signature_config(args, family: FamilyId) -> SweepConfig:
     mode = "all"
     fixed: tuple[tuple[int, ...], ...] = ()
-    if getattr(args, "signatures", None):
+    if args.signatures:
         chunks = args.signatures
         if chunks == ["all"]:
             mode = "all"
@@ -272,9 +286,6 @@ def _signature_config(args, family: FamilyId) -> SweepConfig:
         else:
             mode = "fixed"
             fixed = tuple(_parse_epsilon(chunk) for chunk in chunks)
-    if getattr(args, "riemannian", False):
-        mode = "riemannian-only"
-        fixed = ()
     return SweepConfig(
         family=family,
         samples=args.samples,
@@ -289,10 +300,15 @@ def cmd_sweep(args) -> int:
     try:
         family = FamilyId.parse(args.family)
         config = _signature_config(args, family)
+        # Opened before the run, so a bad path fails before any work is done.
+        out = _open_output(args.json) if args.json else contextlib.nullcontext()
     except (ParseError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = run_sweep(config)
+    with out:
+        report = run_sweep(config)
+        if args.json:
+            out.write(report.to_json())
     total = report.total_cases
     print(f"family: {family.value}")
     print(f"samples: {config.samples}")
@@ -319,8 +335,6 @@ def cmd_sweep(args) -> int:
         )
         print(f"minimality counterexamples: {report.minimality_counterexample_count}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
         print(f"report written to {args.json}")
     return EXIT_DISAGREEMENT if report.disagreements else EXIT_OK
 
@@ -328,6 +342,8 @@ def cmd_sweep(args) -> int:
 def cmd_counterexample(args) -> int:
     try:
         family = FamilyId.parse(args.family)
+        if args.max_print < 0:
+            raise ParseError("--max-print", f"must be >= 0, got {args.max_print}")
         config = _signature_config(args, family)
         hits = find_conjecture_counterexamples(config)
     except (ParseError, StructureError) as exc:
@@ -411,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="'all', 'riemannian-only', or one or more comma-separated epsilon lists",
     )
-    p_ce.add_argument("--riemannian", action="store_true", help="restrict to the all-positive signature")
     p_ce.add_argument("--max-print", type=int, default=5)
     p_ce.set_defaults(func=cmd_counterexample)
     return parser

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import (
     ConstraintError,
@@ -81,6 +81,10 @@ _BASIS_NAMES = {
 _BLOCK1_PARAMS = ("b11", "b21", "c11", "c12", "c21", "c22")
 _BLOCK2_PARAMS = ("s14", "s24", "t14", "t15", "t24", "t25")
 _SO2_PARAMS = ("x1", "x2", "y1", "y2", "t14", "t24", "theta4")
+
+
+def _as_frame(signature: MetricFrame | Sequence[int]) -> MetricFrame:
+    return signature if isinstance(signature, MetricFrame) else MetricFrame(tuple(signature))
 
 
 def family_dimension(family: FamilyId) -> int:
@@ -142,13 +146,7 @@ class FamilySpec:
         otherwise.
         """
         fam = FamilyId.parse(family) if isinstance(family, str) else family
-        dim = family_dimension(fam)
-        if signature is None:
-            frame = MetricFrame((1,) * dim)
-        elif isinstance(signature, MetricFrame):
-            frame = signature
-        else:
-            frame = MetricFrame(tuple(int(e) for e in signature))
+        frame = _as_frame((1,) * family_dimension(fam) if signature is None else signature)
         given = dict(params or {})
         expected = family_parameter_names(fam)
         unknown = set(given) - set(expected)
@@ -207,62 +205,59 @@ def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
     return tuple(theta)
 
 
-def so2_conformality_constraint(
-    signature: MetricFrame, x1: ScalarLike, y1: ScalarLike, x2: ScalarLike, y2: ScalarLike
-) -> bool:
-    """Exact test of x1 = y2 and eps_X x2 + eps_Y y1 = 0 (X, Y = last two frame slots)."""
-    eps_x, eps_y = signature.epsilon[-2], signature.epsilon[-1]
-    x1, y1, x2, y2 = (as_scalar(v) for v in (x1, y1, x2, y2))
-    return x1 == y2 and eps_x * x2 + eps_y * y1 == 0
-
-
-def so2_residual_relations(spec: FamilySpec) -> list[tuple[str, Fraction]]:
-    """The circle-factor Jacobi relations beyond the conformality constraint.
-
-    Each entry is (relation text, residual value); the table is a Lie algebra
-    iff every residual vanishes (given the conformality constraint and the
-    closed-form thetas).
-    """
-    p = spec.params
+def _so2_relation_sides(
+    p: Mapping[str, Fraction], eps_x: int, eps_y: int
+) -> Iterator[tuple[str, Fraction, Fraction]]:
+    """(relation, left side, right side) of each circle-family relation, lazily."""
     x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
-    t14, t24, rho, theta4 = p["t14"], p["t24"], p["rho"], p["theta4"]
-    return [
-        ("t14*x2 + rho*y2 - t24*x1 = 0", t14 * x2 + rho * y2 - t24 * x1),
-        ("t14*y2 - (rho + t24)*y1 = 0", t14 * y2 - (rho + t24) * y1),
-        ("(x1 + y2)*theta4 = rho*t14", (x1 + y2) * theta4 - rho * t14),
-    ]
+    t14, t24, rho = p["t14"], p["t24"], p["rho"]
+    yield "x1 = y2", x1, y2
+    # eps = +-1, so sign flips stand in for the products eps_X*x2 and -eps_Y*y1.
+    yield "eps_X*x2 + eps_Y*y1 = 0", (x2 if eps_x > 0 else -x2), (-y1 if eps_y > 0 else y1)
+    yield "t14*x2 + rho*y2 - t24*x1 = 0", t14 * x2 + rho * y2, t24 * x1
+    yield "t14*y2 - (rho + t24)*y1 = 0", t14 * y2, (rho + t24) * y1
+    yield "(x1 + y2)*theta4 = rho*t14", (x1 + y2) * p["theta4"], rho * t14
+
+
+def so2_failed_relation(
+    params: Mapping[str, Fraction], eps_x: int, eps_y: int
+) -> tuple[str, Fraction] | None:
+    """The first circle-family relation the parameters violate, as (relation, residual).
+
+    Checks the conformality constraint, then the three residual Jacobi
+    relations (module docstring), in that order; None when all hold.  A
+    relation is evaluated only if every earlier one holds.
+    """
+    for relation, lhs, rhs in _so2_relation_sides(params, eps_x, eps_y):
+        if lhs != rhs:
+            return relation, lhs - rhs
+    return None
+
+
+def _row(dim: int, entries) -> list[Fraction]:
+    """A bracket row of length dim with the given (index, value) entries."""
+    out = [ZERO] * dim
+    for idx, val in entries:
+        out[idx] = val
+    return out
 
 
 def _simple_block_rows(
-    rows: dict, kind: str, offset: int, h_index: int, beta, gamma1, gamma2
+    rows: dict, dim: int, kind: str, offset: int, h_index: int, beta, gamma1, gamma2
 ) -> None:
     """Mixed rows [A,h], [B,h], [C,h] of one simple block (su2 flips the [A,h] sign)."""
     a, b, c = offset, offset + 1, offset + 2
     sign = -1 if kind == "su2" else 1
-
-    def vec(*pairs):
-        out = [ZERO] * rows["__dim__"]
-        for idx, val in pairs:
-            out[idx] = val
-        return out
-
-    rows[(a, h_index)] = vec((b, sign * beta), (c, sign * gamma1))
-    rows[(b, h_index)] = vec((a, beta), (c, -gamma2))
-    rows[(c, h_index)] = vec((a, gamma1), (b, gamma2))
+    rows[(a, h_index)] = _row(dim, ((b, sign * beta), (c, sign * gamma1)))
+    rows[(b, h_index)] = _row(dim, ((a, beta), (c, -gamma2)))
+    rows[(c, h_index)] = _row(dim, ((a, gamma1), (b, gamma2)))
 
 
-def _base_block_rows(rows: dict, kind: str, offset: int) -> None:
+def _base_block_rows(rows: dict, dim: int, kind: str, offset: int) -> None:
     a, b, c = offset, offset + 1, offset + 2
-    dim = rows["__dim__"]
-
-    def vec(idx, val):
-        out = [ZERO] * dim
-        out[idx] = val
-        return out
-
-    rows[(a, b)] = vec(c, TWO)
-    rows[(a, c)] = vec(b, -TWO)  # [C, A] = 2B
-    rows[(b, c)] = vec(a, TWO if kind == "su2" else -TWO)
+    rows[(a, b)] = _row(dim, ((c, TWO),))
+    rows[(a, c)] = _row(dim, ((b, -TWO),))  # [C, A] = 2B
+    rows[(b, c)] = _row(dim, ((a, TWO if kind == "su2" else -TWO),))
 
 
 def _so2_row_pattern(
@@ -296,23 +291,19 @@ def assemble_family_table(
         raise StructureError(f"table_variant must be 'tx' or 'ty', got {table_variant!r}")
     blocks, has_so2 = _BLOCKS[spec.family]
     dim = family_dimension(spec.family)
-    rows: dict = {"__dim__": dim}
+    rows: dict = {}
     x_index, y_index = dim - 2, dim - 1
     for idx, kind in enumerate(blocks):
         offset = 3 * idx
-        _base_block_rows(rows, kind, offset)
+        _base_block_rows(rows, dim, kind, offset)
         bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
-        _simple_block_rows(rows, kind, offset, x_index, bx, c1x, c2x)
-        _simple_block_rows(rows, kind, offset, y_index, by, c1y, c2y)
+        _simple_block_rows(rows, dim, kind, offset, x_index, bx, c1x, c2x)
+        _simple_block_rows(rows, dim, kind, offset, y_index, by, c1y, c2y)
 
     theta = theta_override if theta_override is not None else closed_form_theta(spec)
     if len(theta) != dim - 2:
         raise StructureError(f"theta must have {dim - 2} entries, got {len(theta)}")
-    xy = [ZERO] * dim
-    xy[x_index] = spec.params["rho"]
-    for k, th in enumerate(theta):
-        xy[k] = th
-    rows[(x_index, y_index)] = xy
+    rows[(x_index, y_index)] = _row(dim, [*enumerate(theta), (x_index, spec.params["rho"])])
 
     if has_so2:
         t_index = 3
@@ -322,14 +313,10 @@ def assemble_family_table(
             (y_index, (p["x2"], p["y2"], p["t24"])),
         ):
             pa, qb, rc = _so2_row_pattern(spec.family, table_variant, spec, u, v)
-            row = [ZERO] * dim
-            row[0], row[1], row[2] = pa, qb, rc
-            row[t_index] = t_diag
-            row[x_index] = u
-            row[y_index] = v
-            rows[(t_index, h_index)] = row
+            rows[(t_index, h_index)] = _row(
+                dim, ((0, pa), (1, qb), (2, rc), (t_index, t_diag), (x_index, u), (y_index, v))
+            )
 
-    del rows["__dim__"]
     return StructureTensor.from_rows(dim, rows)
 
 
@@ -355,24 +342,13 @@ def build_family(spec: FamilySpec, *, table_variant: str = "auto") -> FoliationS
     or "ty" to force a candidate (use assemble_family_table to inspect a
     candidate without validation).
     """
-    blocks, has_so2 = _BLOCKS[spec.family]
-    if has_so2:
-        p = spec.params
-        eps_x = spec.signature.epsilon[-2]
-        eps_y = spec.signature.epsilon[-1]
-        if p["x1"] != p["y2"]:
+    if _BLOCKS[spec.family][1]:
+        failed = so2_failed_relation(spec.params, *spec.signature.epsilon[-2:])
+        if failed:
+            relation, residual = failed
             raise ConstraintError(
-                "x1 = y2", f"conformality constraint violated: x1 = {p['x1']}, y2 = {p['y2']}"
+                relation, f"circle-family relation {relation} fails (residual {residual})"
             )
-        if eps_x * p["x2"] + eps_y * p["y1"] != 0:
-            raise ConstraintError(
-                "eps_X*x2 + eps_Y*y1 = 0",
-                f"conformality constraint violated: "
-                f"({eps_x})*{p['x2']} + ({eps_y})*{p['y1']} != 0",
-            )
-        for relation, value in so2_residual_relations(spec):
-            if value:
-                raise ConstraintError(relation, f"Jacobi-infeasible parameters: {relation} fails (residual {value})")
     variants = ("tx",)
     if spec.family is FamilyId.SL2RxSO2:
         if table_variant == "auto":
@@ -403,76 +379,64 @@ def closed_form_minimal(spec: FamilySpec) -> bool:
     return spec.params["t14"] == 0 and spec.params["t24"] == 0
 
 
-def _block_tg_conditions(
-    spec: FamilySpec, kind: str, offset: int, block_index: int
-) -> list[tuple[str, Fraction]]:
-    eps = spec.signature.epsilon
-    names = _BASIS_NAMES[spec.family]
-    ea, eb, ec = eps[offset], eps[offset + 1], eps[offset + 2]
-    na, nb, nc = names[offset], names[offset + 1], names[offset + 2]
-    bx, c1x, c2x, by, c1y, c2y = _block_params(spec, block_index)
-    pnames = _BLOCK1_PARAMS if block_index == 0 else _BLOCK2_PARAMS
-    # su2-type rows pair with differences of causal characters, the sl2r-type
-    # [A,.] rows flip to sums; the gamma2 pair keeps the difference either way.
-    s = -1 if kind == "su2" else 1
-    sign_ab = "-" if s < 0 else "+"
-    return [
-        (f"(eps_{nb} {sign_ab} eps_{na}) * {pnames[0]}", (eb + s * ea) * bx),
-        (f"(eps_{nb} {sign_ab} eps_{na}) * {pnames[1]}", (eb + s * ea) * by),
-        (f"(eps_{nc} {sign_ab} eps_{na}) * {pnames[2]}", (ec + s * ea) * c1x),
-        (f"(eps_{nc} {sign_ab} eps_{na}) * {pnames[4]}", (ec + s * ea) * c1y),
-        (f"(eps_{nc} - eps_{nb}) * {pnames[3]}", (ec - eb) * c2x),
-        (f"(eps_{nc} - eps_{nb}) * {pnames[5]}", (ec - eb) * c2y),
-    ]
+def _tg_block_rows(family: FamilyId) -> tuple[tuple[str, int, int, int, str], ...]:
+    """(label, i, s, j, parameter) per block condition (eps_i + s*eps_j) * parameter."""
+    blocks, _ = _BLOCKS[family]
+    names = _BASIS_NAMES[family]
+    rows = []
+    for idx, kind in enumerate(blocks):
+        a, b, c = 3 * idx, 3 * idx + 1, 3 * idx + 2
+        bx, by, c1x, c2x, c1y, c2y = _BLOCK1_PARAMS if idx == 0 else _BLOCK2_PARAMS
+        # su2-type rows pair with differences of causal characters, the sl2r-type
+        # [A,.] rows flip to sums; the gamma2 pair keeps the difference either way.
+        s = -1 if kind == "su2" else 1
+        for i, sign, j, param in (
+            (b, s, a, bx), (b, s, a, by), (c, s, a, c1x), (c, s, a, c1y), (c, -1, b, c2x), (c, -1, b, c2y)
+        ):
+            op = "-" if sign < 0 else "+"
+            rows.append((f"(eps_{names[i]} {op} eps_{names[j]}) * {param}", i, sign, j, param))
+    return tuple(rows)
+
+
+# Circle-factor conditions (u*lhs + v*rhs), after t14 and t24 themselves.
+_TG_CIRCLE_ROWS = tuple(
+    (f"{u}*{lhs} + {v}*{rhs}", u, lhs, v, rhs)
+    for u, v in (("x1", "y1"), ("x2", "y2"))
+    for lhs, rhs in (("c12", "c22"), ("c11", "c21"), ("b11", "b21"))
+)
+
+_TG_CIRCLE_LABELS = ("t14", "t24") + tuple(row[0] for row in _TG_CIRCLE_ROWS)
+
+# The totally-geodesic condition table: block rows and all labels, per family.
+_TG_BLOCK_ROWS = {family: _tg_block_rows(family) for family in FamilyId}
+_TG_LABELS = {
+    family: tuple(row[0] for row in _TG_BLOCK_ROWS[family])
+    + (_TG_CIRCLE_LABELS if has_so2 else ())
+    for family, (_, has_so2) in _BLOCKS.items()
+}
+
+
+def _tg_values(spec: FamilySpec) -> Iterator[Fraction]:
+    """The condition values in _TG_LABELS order, computed lazily."""
+    eps, p = spec.signature.epsilon, spec.params
+    for _, i, s, j, param in _TG_BLOCK_ROWS[spec.family]:
+        factor, coeff = eps[i] + s * eps[j], p[param]
+        yield factor * coeff if factor and coeff else ZERO
+    if _BLOCKS[spec.family][1]:
+        yield p["t14"]
+        yield p["t24"]
+        for _, u, lhs, v, rhs in _TG_CIRCLE_ROWS:
+            yield p[u] * p[lhs] + p[v] * p[rhs]
 
 
 def totally_geodesic_conditions(spec: FamilySpec) -> list[tuple[str, Fraction]]:
     """The family's exact condition list: totally geodesic iff every value is zero."""
-    blocks, has_so2 = _BLOCKS[spec.family]
-    conditions: list[tuple[str, Fraction]] = []
-    for idx, kind in enumerate(blocks):
-        conditions.extend(_block_tg_conditions(spec, kind, 3 * idx, idx))
-    if has_so2:
-        p = spec.params
-        conditions.append(("t14", p["t14"]))
-        conditions.append(("t24", p["t24"]))
-        for u_name, v_name in (("x1", "y1"), ("x2", "y2")):
-            u, v = p[u_name], p[v_name]
-            for lhs, rhs in (("c12", "c22"), ("c11", "c21"), ("b11", "b21")):
-                conditions.append(
-                    (f"{u_name}*{lhs} + {v_name}*{rhs}", u * p[lhs] + v * p[rhs])
-                )
-    return conditions
+    return list(zip(_TG_LABELS[spec.family], _tg_values(spec)))
 
 
 def closed_form_totally_geodesic(spec: FamilySpec) -> bool:
-    # Same predicate as totally_geodesic_conditions, short-circuited and
-    # label-free for sweep loops (the factors eps_i +- eps_j are 0 or +-2).
-    blocks, has_so2 = _BLOCKS[spec.family]
-    eps = spec.signature.epsilon
-    p = spec.params
-    for idx, kind in enumerate(blocks):
-        offset = 3 * idx
-        s = -1 if kind == "su2" else 1
-        ea, eb, ec = eps[offset], eps[offset + 1], eps[offset + 2]
-        bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
-        if (eb + s * ea) and (bx or by):
-            return False
-        if (ec + s * ea) and (c1x or c1y):
-            return False
-        if (ec - eb) and (c2x or c2y):
-            return False
-    if has_so2:
-        if p["t14"] or p["t24"]:
-            return False
-        for u_name, v_name in (("x1", "y1"), ("x2", "y2")):
-            u, v = p[u_name], p[v_name]
-            if not (u or v):
-                continue
-            for lhs, rhs in (("c12", "c22"), ("c11", "c21"), ("b11", "b21")):
-                if u * p[lhs] + v * p[rhs]:
-                    return False
-    return True
+    """True iff every totally_geodesic_conditions value vanishes (stops at the first that does not)."""
+    return not any(_tg_values(spec))
 
 
 _RAW_SO2_COEFFS = (
@@ -502,36 +466,19 @@ def build_so2_raw_setup(
     if unknown:
         raise StructureError(f"unknown raw coefficients {sorted(unknown)}")
     v = {name: as_scalar(coeffs.get(name, ZERO)) for name in _RAW_SO2_COEFFS}
-    frame = signature if isinstance(signature, MetricFrame) else MetricFrame(tuple(int(e) for e in signature))
+    frame = _as_frame(signature)
     if frame.dim != 6:
         raise StructureError("circle-factor families are six dimensional")
     dim = 6
-    rows: dict = {"__dim__": dim}
-    kind = "su2" if family is FamilyId.SU2xSO2 else "sl2r"
-    _base_block_rows(rows, kind, 0)
-    del rows["__dim__"]
-
-    def vec(entries):
-        out = [ZERO] * dim
-        for idx, val in entries:
-            out[idx] = val
-        return out
-
+    rows: dict = {}
+    _base_block_rows(rows, dim, "su2" if family is FamilyId.SU2xSO2 else "sl2r", 0)
     for row_idx, prefix in ((0, "a"), (1, "b"), (2, "c")):
-        rows[(row_idx, 4)] = vec(
-            [(k, v[f"{prefix}1{k + 1}"]) for k in range(4)]
-        )
-        rows[(row_idx, 5)] = vec(
-            [(k, v[f"{prefix}2{k + 1}"]) for k in range(4)]
-        )
-    rows[(3, 4)] = vec(
-        [(k, v[f"t1{k + 1}"]) for k in range(4)] + [(4, v["x1"]), (5, v["y1"])]
-    )
-    rows[(3, 5)] = vec(
-        [(k, v[f"t2{k + 1}"]) for k in range(4)] + [(4, v["x2"]), (5, v["y2"])]
-    )
-    rows[(4, 5)] = vec(
-        [(0, v["theta1"]), (1, v["theta2"]), (2, v["theta3"]), (3, v["theta4"]), (4, v["rho"])]
+        rows[(row_idx, 4)] = _row(dim, [(k, v[f"{prefix}1{k + 1}"]) for k in range(4)])
+        rows[(row_idx, 5)] = _row(dim, [(k, v[f"{prefix}2{k + 1}"]) for k in range(4)])
+    rows[(3, 4)] = _row(dim, [(k, v[f"t1{k + 1}"]) for k in range(4)] + [(4, v["x1"]), (5, v["y1"])])
+    rows[(3, 5)] = _row(dim, [(k, v[f"t2{k + 1}"]) for k in range(4)] + [(4, v["x2"]), (5, v["y2"])])
+    rows[(4, 5)] = _row(
+        dim, [(0, v["theta1"]), (1, v["theta2"]), (2, v["theta3"]), (3, v["theta4"]), (4, v["rho"])]
     )
     tensor = StructureTensor.from_rows(dim, rows)
     return FoliationSetup(tensor=tensor, frame=frame, vertical=(0, 1, 2, 3), horizontal=(4, 5))

@@ -32,19 +32,20 @@ class ConnectionCoefficients:
     dim: int
     gamma: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def nabla(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.gamma[i][j]
+
+def _require_lie_algebra(setup: FoliationSetup) -> None:
+    report = jacobi_residual(setup.tensor)
+    if not report.is_zero:
+        raise JacobiError(
+            f"bracket table is not a Lie algebra: max Jacobi residual "
+            f"{report.max_abs} at triple {report.worst_triple()}"
+        )
 
 
 def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = True) -> ConnectionCoefficients:
     """Levi-Civita connection of the left-invariant metric, from the Koszul formula."""
     if require_jacobi:
-        report = jacobi_residual(setup.tensor)
-        if not report.is_zero:
-            raise JacobiError(
-                f"bracket table is not a Lie algebra: max Jacobi residual "
-                f"{report.max_abs} at triple {report.worst_triple()}"
-            )
+        _require_lie_algebra(setup)
     dim = setup.dim
     c = setup.tensor.c
     eps = setup.frame.epsilon
@@ -172,12 +173,7 @@ def classify(setup: FoliationSetup, *, require_jacobi: bool = True) -> Foliation
     bracket table).
     """
     if require_jacobi:
-        report = jacobi_residual(setup.tensor)
-        if not report.is_zero:
-            raise JacobiError(
-                f"bracket table is not a Lie algebra: max Jacobi residual "
-                f"{report.max_abs} at triple {report.worst_triple()}"
-            )
+        _require_lie_algebra(setup)
     eps = setup.frame.epsilon
     x, y = setup.horizontal
     dim = setup.dim

@@ -36,6 +36,7 @@ from .families import (
     family_basis_names,
     family_dimension,
     family_parameter_names,
+    so2_failed_relation,
     totally_geodesic_conditions,
 )
 from .geometry import FoliationReport, classify, second_fundamental_form_horizontal
@@ -158,19 +159,6 @@ def _draw_semisimple_params(rng: random.Random, family: FamilyId, bound: int) ->
     return {name: _draw_scalar(rng, bound) for name in family_parameter_names(family)}
 
 
-def _so2_feasible(base: dict, x2_by_class: dict) -> bool:
-    x1, y1 = base["x1"], base["y1"]
-    t14, t24, rho = base["t14"], base["t24"], base["rho"]
-    if t14 * x1 - (rho + t24) * y1 != 0:
-        return False
-    if x1 == 0 and rho * t14 != 0:
-        return False
-    for x2 in x2_by_class.values():
-        if t14 * x2 + rho * x1 - t24 * x1 != 0:
-            return False
-    return True
-
-
 def _draw_so2_params(
     rng: random.Random, family: FamilyId, bound: int, classes: Sequence[int]
 ) -> tuple[dict, dict, int]:
@@ -186,12 +174,15 @@ def _draw_so2_params(
         base["t14"] = _draw_scalar(rng, bound)
         base["t24"] = _draw_scalar(rng, bound)
         theta4_free = _draw_scalar(rng, bound)
-        x2_by_class = {s: -s * y1 for s in classes}
-        if _so2_feasible(base, x2_by_class):
-            if x1 + base["y2"] != 0:
-                base["theta4"] = base["rho"] * base["t14"] / (x1 + base["y2"])
-            else:
-                base["theta4"] = theta4_free
+        # theta4 = rho*t14/(x1 + y2), free when x1 + y2 = 0 (y2 = x1 here); the
+        # guard skips the Fraction products on the many draws where it is 0.
+        rho, t14 = base["rho"], base["t14"]
+        if not x1:
+            base["theta4"] = theta4_free
+        else:
+            base["theta4"] = rho * t14 / (x1 + x1) if rho and t14 else ZERO
+        x2_by_class = {s: -y1 if s > 0 else y1 for s in classes}  # x2 = -s*y1
+        if all(so2_failed_relation({**base, "x2": x2}, 1, s) is None for s, x2 in x2_by_class.items()):
             return base, x2_by_class, attempts
         attempts += 1
         if attempts > 100_000:

@@ -12,7 +12,6 @@ from liefol.algebra import (
     StructureError,
     StructureTensor,
     as_scalar,
-    bracket,
     format_scalar,
     is_semisimple,
     jacobi_residual,
@@ -43,7 +42,7 @@ class TestScalar:
         assert as_scalar(F(1, 3)) == F(1, 3)
         assert as_scalar(5) == F(5)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "abc", "1/0", None, True])
+    @pytest.mark.parametrize("bad", ["0.5", "1e3", "abc", "1/0", "1_000", "\u0663", None, True])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(StructureError):
             as_scalar(bad)
@@ -62,9 +61,9 @@ class TestScalar:
 class TestStructureTensor:
     def test_from_rows_completes_antisymmetrically(self):
         t = su2_tensor()
-        assert t.row(0, 1) == (F(0), F(0), F(2))
-        assert t.row(1, 0) == (F(0), F(0), F(-2))
-        assert t.row(1, 1) == (F(0), F(0), F(0))
+        assert t.c[0][1] == (F(0), F(0), F(2))
+        assert t.c[1][0] == (F(0), F(0), F(-2))
+        assert t.c[1][1] == (F(0), F(0), F(0))
 
     def test_rejects_asymmetric_full_table(self):
         c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
@@ -103,7 +102,7 @@ class TestBracket:
         u[0] = 1
         v = [0, 0, 0, 0, 0]
         v[1] = 1
-        assert bracket(setup, u, v)[2] == F(2)
+        assert setup.tensor.bracket(u, v)[2] == F(2)
 
     @given(
         u=st.lists(st.fractions(max_denominator=6), min_size=5, max_size=5),
@@ -231,6 +230,11 @@ class TestMetricFrame:
             MetricFrame((1, 0, 1))
         with pytest.raises(StructureError):
             MetricFrame(())
+
+    @pytest.mark.parametrize("epsilon", [(True, True, True), (1.0, -1, 1)])
+    def test_rejects_non_int_entries(self, epsilon):
+        with pytest.raises(StructureError, match="causal characters"):
+            MetricFrame(epsilon)
 
     def test_inner_product(self):
         frame = MetricFrame((1, -1, 1))

@@ -215,6 +215,12 @@ class TestFamilyCommand:
     def test_bad_param_value_exits_three(self, capsys):
         assert main(["family", "su2", "--param", "b11=0.5"]) == EXIT_PARSE
 
+    def test_unwritable_out_exits_three(self, tmp_path, capsys):
+        out_path = str(tmp_path / "missing" / "f.json")
+        assert main(["family", "su2", "--out", out_path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_summary_and_json(self, tmp_path, capsys):
@@ -236,6 +242,16 @@ class TestSweepCommand:
 
     def test_unknown_family_exits_three(self, capsys):
         assert main(["sweep", "nope", "--samples", "1"]) == EXIT_PARSE
+
+    def test_unwritable_json_exits_three_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("sweep ran before the output path was checked")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        json_path = str(tmp_path / "missing" / "report.json")
+        assert main(["sweep", "su2", "--samples", "1", "--json", json_path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_signature_flag(self, capsys):
         code = main(
@@ -274,10 +290,19 @@ class TestCounterexampleCommand:
         assert "compact-type vertical: yes" in out
 
     def test_riemannian_none_message(self, capsys):
-        code = main(["counterexample", "su2", "--riemannian", "--samples", "10"])
+        code = main(
+            ["counterexample", "su2", "--signatures", "riemannian-only", "--samples", "10"]
+        )
         assert code == EXIT_OK
         assert "none" in capsys.readouterr().out
 
     def test_circle_family_exits_three(self, capsys):
         assert main(["counterexample", "su2xso2"]) == EXIT_PARSE
         assert "semisimple" in capsys.readouterr().err
+
+    def test_negative_max_print_exits_three(self, capsys):
+        code = main(["counterexample", "su2", "--samples", "2", "--max-print", "-1"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --max-print")
+        assert captured.out == ""

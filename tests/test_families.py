@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liefol.algebra import ConstraintError, MetricFrame, StructureError, jacobi_residual
+from liefol.algebra import ConstraintError, StructureError, jacobi_residual
 from liefol.families import (
     FamilyId,
     FamilySpec,
@@ -18,7 +18,7 @@ from liefol.families import (
     family_basis_names,
     family_dimension,
     family_parameter_names,
-    so2_conformality_constraint,
+    so2_failed_relation,
     totally_geodesic_conditions,
 )
 from liefol.geometry import classify
@@ -44,6 +44,10 @@ class TestSpecCreation:
     def test_unknown_family_rejected(self):
         with pytest.raises(StructureError, match="unknown family"):
             FamilySpec.create("so3")
+
+    def test_float_signature_rejected(self):
+        with pytest.raises(StructureError, match="causal characters"):
+            FamilySpec.create("su2", {}, (1.0, -1.9, 1, 1, 1))
 
     def test_signature_length_checked(self):
         with pytest.raises(StructureError):
@@ -99,21 +103,21 @@ class TestBuildFamily:
     def test_su2_zero_params_is_direct_product(self):
         setup = build_family(FamilySpec.create("su2"))
         for i in range(3):
-            assert not any(setup.tensor.row(i, 3))
-            assert not any(setup.tensor.row(i, 4))
-        assert not any(setup.tensor.row(3, 4))
+            assert not any(setup.tensor.c[i][3])
+            assert not any(setup.tensor.c[i][4])
+        assert not any(setup.tensor.c[3][4])
 
     def test_su2xsu2_rows(self):
         setup = build_family(FamilySpec.create("su2xsu2", {"b11": 1, "s14": 1}))
-        assert setup.tensor.row(0, 6) == (F(0), F(-1), F(0), F(0), F(0), F(0), F(0), F(0))
-        assert setup.tensor.row(1, 6) == (F(1), F(0), F(0), F(0), F(0), F(0), F(0), F(0))
-        assert setup.tensor.row(3, 6) == (F(0), F(0), F(0), F(0), F(-1), F(0), F(0), F(0))
-        assert setup.tensor.row(4, 6) == (F(0), F(0), F(0), F(1), F(0), F(0), F(0), F(0))
+        assert setup.tensor.c[0][6] == (F(0), F(-1), F(0), F(0), F(0), F(0), F(0), F(0))
+        assert setup.tensor.c[1][6] == (F(1), F(0), F(0), F(0), F(0), F(0), F(0), F(0))
+        assert setup.tensor.c[3][6] == (F(0), F(0), F(0), F(0), F(-1), F(0), F(0), F(0))
+        assert setup.tensor.c[4][6] == (F(0), F(0), F(0), F(1), F(0), F(0), F(0), F(0))
 
     def test_sl2rxso2_t_row(self):
         spec = FamilySpec.create("sl2rxso2", {"x1": 1, "y2": 1, "c12": 1})
         setup = build_family(spec)
-        row = setup.tensor.row(3, 4)  # [T, X]
+        row = setup.tensor.c[3][4]  # [T, X]
         assert row[0] == F(-1, 2)
         assert row[4] == F(1)
 
@@ -201,16 +205,20 @@ class TestCircleConstraints:
 
 
 class TestSo2ConformalityConstraint:
+    @staticmethod
+    def failed(eps_xy, x1, y1, x2, y2):
+        params = FamilySpec.create("su2xso2", {"x1": x1, "y1": y1, "x2": x2, "y2": y2}).params
+        return so2_failed_relation(params, *eps_xy)
+
     def test_plain_cases(self):
-        frame = MetricFrame((1, 1, 1, 1, 1, 1))
-        assert so2_conformality_constraint(frame, 5, 0, 0, 5)
-        assert not so2_conformality_constraint(frame, 5, 3, 3, 5)
+        assert self.failed((1, 1), 5, 0, 0, 5) is None
+        assert self.failed((1, 1), 5, 3, 3, 5) == ("eps_X*x2 + eps_Y*y1 = 0", F(6))
+        assert self.failed((1, 1), 5, 0, 0, 4) == ("x1 = y2", F(1))
 
     def test_mixed_signature_cancellation(self):
-        frame = MetricFrame((1, 1, 1, 1, 1, -1))
-        assert so2_conformality_constraint(frame, 2, 3, 3, 2)
-        frame2 = MetricFrame((1, 1, 1, 1, 1, 1))
-        assert not so2_conformality_constraint(frame2, 2, 3, 3, 2)
+        assert self.failed((1, -1), 2, 3, 3, 2) is None
+        assert self.failed((1, 1), 2, 3, 3, 2) is not None
+        assert self.failed((-1, -1), 2, 3, 3, 2) == ("eps_X*x2 + eps_Y*y1 = 0", F(-6))
 
 
 class TestClosedFormMinimal:
@@ -284,6 +292,10 @@ class TestRawAnsatz:
     def test_only_circle_families(self):
         with pytest.raises(StructureError):
             build_so2_raw_setup(FamilyId.SU2, (1,) * 5, {})
+
+    def test_float_signature_rejected(self):
+        with pytest.raises(StructureError, match="causal characters"):
+            build_so2_raw_setup(FamilyId.SU2xSO2, (1.0, 1, 1, 1, 1, 1), {})
 
     def test_lemma_biconditional_spot_checks(self):
         rng = random.Random(13)

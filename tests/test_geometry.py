@@ -60,16 +60,16 @@ class TestConnection:
         setup = build_family(FamilySpec.create("su2"))
         conn = connection_coefficients(setup)
         # nabla_A B = C, and in general nabla = half the bracket on the block.
-        assert conn.nabla(0, 1) == (F(0), F(0), F(1), F(0), F(0))
+        assert conn.gamma[0][1] == (F(0), F(0), F(1), F(0), F(0))
         for i in range(3):
             for j in range(3):
-                half_bracket = tuple(F(1, 2) * v for v in setup.tensor.row(i, j))
-                assert conn.nabla(i, j) == half_bracket
+                half_bracket = tuple(F(1, 2) * v for v in setup.tensor.c[i][j])
+                assert conn.gamma[i][j] == half_bracket
 
     def test_family_nabla_x_x_vanishes(self):
         setup = build_family(FamilySpec.create("su2", {"b11": 1}))
         conn = connection_coefficients(setup)
-        assert not any(conn.nabla(3, 3))
+        assert not any(conn.gamma[3][3])
 
     def test_rejects_non_lie_algebra(self):
         # Vertical span is bracket-closed but J(e0, e1, e2) = e2 != 0.
@@ -100,9 +100,9 @@ class TestConnection:
             for j in range(dim):
                 for k in range(dim):
                     rhs = (
-                        frame.inner(t.row(k, i), basis(j))
-                        + frame.inner(t.row(k, j), basis(i))
-                        + frame.inner(basis(k), t.row(i, j))
+                        frame.inner(t.c[k][i], basis(j))
+                        + frame.inner(t.c[k][j], basis(i))
+                        + frame.inner(basis(k), t.c[i][j])
                     )
                     assert 2 * frame.epsilon[k] * conn.gamma[i][j][k] == rhs
 
@@ -282,7 +282,7 @@ class TestProductCondition:
         spec = FamilySpec.create("su2xso2", {"x1": 1, "y2": 1, "c12": 1})
         setup = build_family(spec)
         # [T, X] picks up a -1/2 A component, so {T} leaks into {A,B,C}.
-        assert setup.tensor.row(3, 4)[0] == F(-1, 2)
+        assert setup.tensor.c[3][4][0] == F(-1, 2)
         assert not check_product_condition(setup, [(0, 1, 2), (3,)])
 
     def test_single_block_trivially_true(self):
