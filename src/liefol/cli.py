@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -153,6 +154,8 @@ def load_document(path: str) -> tuple[FoliationSetup, dict | None]:
         raise ParseError("file", str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError("file", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("file", "invalid JSON: nested too deeply") from None
     return document_to_setup(doc)
 
 
@@ -224,12 +227,16 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return params
 
 
-def _parse_epsilon(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.replace("+", "").split(","))
-    except ValueError:
-        raise ParseError("--epsilon", f"expected comma-separated +-1 list, got {text!r}") from None
-    return values
+# One causal character on the command line: ASCII digits only (int() would
+# also take other scripts' digits and underscores).
+_EPSILON_ENTRY = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_epsilon(text: str, option: str = "--epsilon") -> tuple[int, ...]:
+    parts = [part.strip() for part in text.split(",")]
+    if not all(_EPSILON_ENTRY.fullmatch(part) for part in parts):
+        raise ParseError(option, f"expected comma-separated +-1 list, got {text!r}")
+    return tuple(int(part) for part in parts)
 
 
 def cmd_family(args) -> int:
@@ -285,7 +292,7 @@ def _signature_config(args, family: FamilyId) -> SweepConfig:
             mode = "riemannian-only"
         else:
             mode = "fixed"
-            fixed = tuple(_parse_epsilon(chunk) for chunk in chunks)
+            fixed = tuple(_parse_epsilon(chunk, "--signatures") for chunk in chunks)
     return SweepConfig(
         family=family,
         samples=args.samples,

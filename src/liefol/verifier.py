@@ -39,7 +39,13 @@ from .families import (
     so2_failed_relation,
     totally_geodesic_conditions,
 )
-from .geometry import FoliationReport, classify, second_fundamental_form_horizontal
+from .geometry import (
+    FoliationReport,
+    FrameFreeHorizontal,
+    FrameFreeVertical,
+    classify,
+    second_fundamental_form_horizontal,
+)
 from .linalg import is_negative_definite, solve_linear_system
 
 ZERO = Fraction(0)
@@ -215,6 +221,52 @@ def _witness_entry(spec: FamilySpec, report: FoliationReport) -> dict:
     return entry
 
 
+def _sweep_draws(config: SweepConfig):
+    """Yield (rejected circle draws, cases) per draw, cases being (spec, report) per signature.
+
+    Each draw is built and validated once (once per eps_X*eps_Y class for the
+    circle families, whose x2 depends on it), and its frame-free forms give
+    the report of every signature.
+    """
+    family = config.family
+    frames = tuple(MetricFrame(sig) for sig in enumerate_signatures(config))
+    # The first frame of each eps_X*eps_Y class builds that class's table.
+    class_frames: dict[int, MetricFrame] = {}
+    for frame in frames:
+        class_frames.setdefault(frame.epsilon[-2] * frame.epsilon[-1], frame)
+    for index in range(config.samples):
+        rng = _sample_rng(config.seed, index)
+        attempts = 0
+        if family in _SO2_FAMILIES:
+            base, x2_by_class, attempts = _draw_so2_params(
+                rng, family, config.parameter_range, tuple(sorted(class_frames))
+            )
+            by_class = {}
+            for s, frame in class_frames.items():
+                params = _ordered_params(family, {**base, "x2": x2_by_class[s]})
+                spec = FamilySpec.create(family, params, frame)
+                by_class[s] = spec.params, *_frame_free(build_family(spec))
+        else:
+            params = _draw_semisimple_params(rng, family, config.parameter_range)
+            spec = FamilySpec.create(family, params, frames[0])
+            built = spec.params, *_frame_free(build_family(spec))
+            by_class = dict.fromkeys(class_frames, built)
+        yield attempts, _frame_cases(family, frames, by_class)
+
+
+def _frame_free(setup: FoliationSetup) -> tuple[FrameFreeHorizontal, FrameFreeVertical]:
+    """Both frame-free forms of a built draw."""
+    return FrameFreeHorizontal.from_setup(setup), FrameFreeVertical.from_setup(setup)
+
+
+def _frame_cases(family: FamilyId, frames: Sequence[MetricFrame], by_class: dict):
+    """(spec, report) per frame, from the params and frame-free forms of its eps_X*eps_Y class."""
+    for frame in frames:
+        eps = frame.epsilon
+        params, horizontal, vertical = by_class[eps[-2] * eps[-1]]
+        yield FamilySpec(family, params, frame), horizontal.report(eps, vertical.form(eps))
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Classify every sampled (draw, signature) case both ways and compare.
 
@@ -223,9 +275,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     expected to be empty.
     """
     family = config.family
-    dim = family_dimension(family)
-    vertical = tuple(range(dim - 2))
-    horizontal = (dim - 2, dim - 1)
     signatures = enumerate_signatures(config)
     is_so2 = family in _SO2_FAMILIES
     track_conjectures = family in _SEMISIMPLE_FAMILIES
@@ -240,37 +289,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     total = 0
     flag_counts = {"conformal": 0, "semiRiemannian": 0, "minimal": 0, "totallyGeodesic": 0}
 
-    classes = tuple(sorted({sig[-2] * sig[-1] for sig in signatures}))
-    for index in range(config.samples):
-        rng = _sample_rng(config.seed, index)
-        if is_so2:
-            base, x2_by_class, attempts = _draw_so2_params(
-                rng, family, config.parameter_range, classes
-            )
-            resampled += attempts
-            tensor_by_class: dict[int, StructureTensor] = {}
-            for s in classes:
-                repr_sig = next(sig for sig in signatures if sig[-2] * sig[-1] == s)
-                spec_s = FamilySpec.create(
-                    family, _ordered_params(family, {**base, "x2": x2_by_class[s]}), repr_sig
-                )
-                tensor_by_class[s] = build_family(spec_s).tensor
-        else:
-            params = _draw_semisimple_params(rng, family, config.parameter_range)
-            spec0 = FamilySpec.create(family, params, signatures[0])
-            tensor = build_family(spec0).tensor
-
-        for sig in signatures:
-            if is_so2:
-                s = sig[-2] * sig[-1]
-                case_params = _ordered_params(family, {**base, "x2": x2_by_class[s]})
-                case_tensor = tensor_by_class[s]
-            else:
-                case_params = params
-                case_tensor = tensor
-            spec = FamilySpec.create(family, case_params, sig)
-            setup = FoliationSetup(case_tensor, spec.signature, vertical, horizontal)
-            report = classify(setup, require_jacobi=False)
+    for attempts, cases in _sweep_draws(config):
+        resampled += attempts
+        for spec, report in cases:
             cf_minimal = closed_form_minimal(spec)
             cf_tg = closed_form_totally_geodesic(spec)
             expected_semi = (spec.params["x1"] == 0) if is_so2 else True

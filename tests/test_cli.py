@@ -170,6 +170,13 @@ class TestCheckCommand:
         assert main(["check", str(path)]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    def test_deeply_nested_document_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["check", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: file: ") and err.count("\n") == 1
+
     def test_witnesses_printed(self, tmp_path, capsys):
         setup = build_family(FamilySpec.create("su2", {"b11": 1}, (1, -1, 1, 1, 1)))
         meta = {"basis": ["A", "B", "C", "X", "Y"]}
@@ -211,6 +218,19 @@ class TestFamilyCommand:
         assert code == EXIT_OK
         setup, _ = load_document(out_path)
         assert setup.frame.epsilon == (1, -1, 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "epsilon", ["\u0661,-\u0661,1,1,1", "1,-1,1,1,1_0", "1,-1,1,1,1.0", "1,-1,,1,1", "1,-1,1,1,2"]
+    )
+    def test_epsilon_rejects_non_ascii_and_malformed_entries(self, epsilon, capsys):
+        assert main(["family", "su2", "--epsilon", epsilon]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_epsilon_accepts_signs_and_spaces(self, tmp_path):
+        out_path = str(tmp_path / "f.json")
+        assert main(["family", "su2", "--epsilon", "+1, -1,1,1,1", "--out", out_path]) == EXIT_OK
+        assert load_document(out_path)[0].frame.epsilon == (1, -1, 1, 1, 1)
 
     def test_bad_param_value_exits_three(self, capsys):
         assert main(["family", "su2", "--param", "b11=0.5"]) == EXIT_PARSE
@@ -259,6 +279,16 @@ class TestSweepCommand:
         )
         assert code == EXIT_OK
         assert "signatures per draw: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("signature", ["\u0661,-\u0661,1,1,1", "1,-1,1,1,1_0"])
+    def test_signatures_reject_non_ascii_digits_before_the_run(self, signature, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("sweep ran on a malformed signature")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        assert main(["sweep", "su2", "--samples", "1", "--signatures", signature]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --signatures: ") and err.count("\n") == 1
 
     def test_deterministic_json_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

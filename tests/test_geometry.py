@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefol.algebra import (
     FoliationSetup,
@@ -12,7 +14,14 @@ from liefol.algebra import (
     StructureError,
     StructureTensor,
 )
-from liefol.families import FamilyId, FamilySpec, build_family, build_so2_raw_setup
+from liefol.families import (
+    FamilyId,
+    FamilySpec,
+    build_family,
+    build_so2_raw_setup,
+    family_dimension,
+    family_parameter_names,
+)
 from liefol.geometry import (
     check_conformal_bracket_condition,
     check_product_condition,
@@ -31,21 +40,23 @@ def abelian_setup(dim=4) -> FoliationSetup:
     return FoliationSetup(t, MetricFrame((1,) * dim), tuple(range(dim - 2)), (dim - 2, dim - 1))
 
 
-def random_family_setup(rng: random.Random):
-    family = rng.choice(list(FamilyId))
+def family_member(family: FamilyId, rng: random.Random, signature: tuple[int, ...]) -> FamilySpec:
+    """A seeded member of the family; circle families draw from their feasible stratum."""
     from liefol.verifier import _draw_semisimple_params, _draw_so2_params
 
-    dim = {"su2": 5, "sl2r": 5, "su2xsu2": 8, "su2xsl2r": 8, "su2xso2": 6, "sl2rxso2": 6}[
-        family.value
-    ]
-    signature = tuple(rng.choice((1, -1)) for _ in range(dim))
     if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
         s = signature[-2] * signature[-1]
         base, x2_by_class, _ = _draw_so2_params(rng, family, 6, (s,))
         params = {**base, "x2": x2_by_class[s]}
     else:
         params = _draw_semisimple_params(rng, family, 6)
-    spec = FamilySpec.create(family, params, signature)
+    return FamilySpec.create(family, params, signature)
+
+
+def random_family_setup(rng: random.Random):
+    family = rng.choice(list(FamilyId))
+    signature = tuple(rng.choice((1, -1)) for _ in range(family_dimension(family)))
+    spec = family_member(family, rng, signature)
     return spec, build_family(spec)
 
 
@@ -235,6 +246,31 @@ class TestClassify:
         with pytest.raises(JacobiError):
             classify(setup)
 
+    def test_int_entry_table_keeps_exact_fraction_entries(self):
+        # A table built directly with int entries: every form entry, the mean
+        # curvature and the conformal vector are still Fractions, equal to
+        # those of the same table with Fraction entries.
+        names = family_parameter_names(FamilyId.SU2xSO2)
+        setup = build_so2_raw_setup(
+            FamilyId.SU2xSO2, (1, -1, 1, -1, 1, -1), {n: i + 1 for i, n in enumerate(names)}
+        )
+        ints = tuple(tuple(tuple(int(v) for v in vec) for vec in row) for row in setup.tensor.c)
+        int_setup = FoliationSetup(
+            StructureTensor(setup.dim, ints), setup.frame, setup.vertical, setup.horizontal
+        )
+        report = classify(int_setup, require_jacobi=False)
+        assert report == classify(setup, require_jacobi=False)
+        entries = [
+            *report.bh.xx,
+            *report.bh.xy,
+            *report.bh.yy,
+            *report.mean_curvature,
+            *report.conformal_vector,
+            *(v for vec in report.bv.values() for v in vec),
+        ]
+        assert all(type(v) is Fraction for v in entries)
+        assert any(v.denominator == 2 for v in entries)
+
     def test_permuted_index_layout(self):
         # Vertical/horizontal sets need not be contiguous: su2 on {0, 2, 4},
         # horizontal pair (1, 3), with [e4, e1] = -e3 mirroring a b11-type row.
@@ -298,3 +334,25 @@ class TestProductCondition:
         setup = build_family(FamilySpec.create("su2"))
         with pytest.raises(StructureError, match="ideal"):
             check_product_condition(setup, [(0,), (1, 2)])
+
+
+@st.composite
+def family_members(draw):
+    family = draw(st.sampled_from(list(FamilyId)))
+    dim = family_dimension(family)
+    signature = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim)))
+    return family_member(family, random.Random(draw(st.integers(0, 2**32))), signature)
+
+
+def verdicts(spec: FamilySpec) -> tuple[bool, bool, bool, bool]:
+    report = classify(build_family(spec))
+    return report.conformal, report.semi_riemannian, report.minimal, report.totally_geodesic
+
+
+class TestFrameCovariance:
+    @settings(max_examples=120, deadline=None)
+    @given(spec=family_members())
+    def test_global_sign_flip_keeps_all_verdicts(self, spec):
+        # eps -> -eps keeps eps_X*eps_Y, so the circle-family x2 stays admissible.
+        flipped = MetricFrame(tuple(-e for e in spec.signature.epsilon))
+        assert verdicts(FamilySpec(spec.family, spec.params, flipped)) == verdicts(spec)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from liefol.algebra import StructureError
+from liefol.algebra import FoliationSetup, StructureError
 from liefol.families import (
     FamilyId,
     FamilySpec,
@@ -16,7 +16,11 @@ from liefol.families import (
     family_dimension,
     family_parameter_names,
 )
-from liefol.geometry import classify
+from liefol.geometry import (
+    classify,
+    second_fundamental_form_vertical,
+    second_fundamental_form_vertical_via_connection,
+)
 from liefol.verifier import (
     SweepConfig,
     enumerate_signatures,
@@ -25,6 +29,7 @@ from liefol.verifier import (
     oracle_solve_theta,
     run_sweep,
     _draw_so2_params,
+    _sweep_draws,
 )
 
 F = Fraction
@@ -185,6 +190,84 @@ class TestRunSweep:
         ):
             assert key in doc
         assert doc["agreements"] + len(doc["disagreements"]) == doc["totalCases"]
+
+
+class TestSweepBuildsOncePerDraw:
+    """The sweep classifies every signature of a draw from one set of frame-free forms."""
+
+    REPORT_FIELDS = (
+        "conformal",
+        "semi_riemannian",
+        "minimal",
+        "totally_geodesic",
+        "mean_curvature",
+        "conformal_vector",
+        "bh",
+        "bv",
+    )
+
+    # Three draws of the 32- and 64-signature families, one of the 256-signature ones.
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_reports_match_the_per_case_pipeline(self, family):
+        samples = 1 if family_dimension(family) == 8 else 3
+        config = SweepConfig(family=family, samples=samples, seed=12)
+        signatures = enumerate_signatures(config)
+        cases = 0
+        circle_mixed_rows = False  # y1 and x1 nonzero: sff_H(X, Y) depends on eps_X*eps_Y
+        mean_directions = set()  # horizontal directions with nonzero mean curvature
+        for _, draw_cases in _sweep_draws(config):
+            for sig, (spec, report) in zip(signatures, draw_cases):
+                circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
+                assert spec.signature.epsilon == sig
+                # build_family has checked the Jacobi identity.
+                setup = build_family(FamilySpec.create(family, spec.params, sig))
+                expected = classify(setup, require_jacobi=False)
+                for field in self.REPORT_FIELDS:
+                    assert getattr(report, field) == getattr(expected, field), (sig, field)
+                via_connection = second_fundamental_form_vertical_via_connection(
+                    setup, require_jacobi=False
+                )
+                assert second_fundamental_form_vertical(setup) == via_connection
+                assert report.bv == via_connection
+                # Mean curvature: the eps-weighted trace of the Koszul-route sff_V.
+                trace = tuple(
+                    sum(sig[k] * via_connection[(k, k)][h] for k in setup.vertical)
+                    for h in range(setup.dim)
+                )
+                assert report.mean_curvature == trace
+                mean_directions.update(h for h, v in enumerate(trace) if v)
+                by_definition, vector = oracle_conformal_from_definition(setup)
+                assert report.conformal == by_definition
+                if by_definition:
+                    assert report.conformal_vector == vector
+                cases += 1
+        assert cases == config.samples * len(signatures)
+        is_circle = family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2)
+        assert circle_mixed_rows == is_circle
+        assert mean_directions == ({setup.dim - 2, setup.dim - 1} if is_circle else set())
+
+    @pytest.mark.parametrize(
+        "family, builds_per_draw", [(FamilyId.SU2, 1), (FamilyId.SU2xSU2, 1), (FamilyId.SU2xSO2, 2)]
+    )
+    def test_spec_creation_and_setup_once_per_draw(self, family, builds_per_draw, monkeypatch):
+        counts = {"create": 0, "setup": 0}
+        create = FamilySpec.create.__func__
+        setup_init = FoliationSetup.__init__
+
+        def counting_create(cls, *args, **kwargs):
+            counts["create"] += 1
+            return create(cls, *args, **kwargs)
+
+        def counting_setup_init(self, *args, **kwargs):
+            counts["setup"] += 1
+            setup_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FamilySpec, "create", classmethod(counting_create))
+        monkeypatch.setattr(FoliationSetup, "__init__", counting_setup_init)
+        config = SweepConfig(family=family, samples=3, seed=8)
+        report = run_sweep(config)
+        assert report.total_cases == 3 * len(enumerate_signatures(config))
+        assert counts == {"create": 3 * builds_per_draw, "setup": 3 * builds_per_draw}
 
 
 class TestSo2Sampling:
