@@ -47,6 +47,7 @@ from .geometry import (
     second_fundamental_form_vertical,
 )
 from .verifier import (
+    SamplingError,
     SweepConfig,
     SweepReport,
     ThetaSolution,
@@ -67,6 +68,7 @@ __all__ = [
     "FoliationSetup",
     "JacobiError",
     "MetricFrame",
+    "SamplingError",
     "Scalar",
     "StructureError",
     "StructureTensor",

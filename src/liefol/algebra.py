@@ -104,13 +104,14 @@ class StructureTensor:
             len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.c
         ):
             raise StructureError("structure table is not dim x dim x dim")
+        c = self.c
         for i in range(self.dim):
             for j in range(i, self.dim):
-                for k in range(self.dim):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
+                for k, (a, b) in enumerate(zip(c[i][j], c[j][i])):
+                    # Most entries are zero pairs; negating a zero still builds a Fraction.
+                    if (a or b) and a != -b:
                         raise StructureError(
-                            f"antisymmetry violated at c[{i}][{j}][{k}] "
-                            f"(= {self.c[i][j][k]}, mirror {self.c[j][i][k]})"
+                            f"antisymmetry violated at c[{i}][{j}][{k}] (= {a}, mirror {b})"
                         )
 
     @classmethod
@@ -128,7 +129,7 @@ class StructureTensor:
                 raise StructureError(f"bracket pair ({i}, {j}) must have i < j")
             vec = _as_vector(coeffs, dim, f"bracket [e_{i}, e_{j}]")
             table[i][j] = list(vec)
-            table[j][i] = [-v for v in vec]
+            table[j][i] = [-v if v else ZERO for v in vec]
         frozen = tuple(tuple(tuple(v) for v in row) for row in table)
         return cls(dim, frozen)
 

@@ -7,8 +7,9 @@ each pair at most once (the mirror rows are implied), "vertical": [ints],
 so no floating point ever enters the exact pipeline.
 
 Exit codes: 0 ok; 1 sweep found disagreements; 2 Jacobi failure; 3 parse /
-unknown-family / invalid-argument error or unwritable output path; 4 family
-constraint violation.
+unknown-family / invalid-argument error, unwritable output path, or a document
+with dim above MAX_DIM or an epsilon list whose length is not dim; 4 family
+constraint violation; 5 the circle-family sampler found no feasible draw.
 """
 
 from __future__ import annotations
@@ -40,13 +41,18 @@ from .families import (
     family_dimension,
 )
 from .geometry import classify
-from .verifier import SweepConfig, find_conjecture_counterexamples, run_sweep
+from .verifier import SamplingError, SweepConfig, find_conjecture_counterexamples, run_sweep
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_JACOBI = 2
 EXIT_PARSE = 3
 EXIT_CONSTRAINT = 4
+EXIT_SAMPLING = 5
+
+# Largest accepted document dimension: the bracket table is dense, dim^3
+# entries, and the Jacobi check grows like dim^5.
+MAX_DIM = 64
 
 
 class ParseError(ValueError):
@@ -86,6 +92,8 @@ def document_to_setup(doc: dict) -> tuple[FoliationSetup, dict | None]:
     dim = _require(doc, "dim", int, "an integer")
     if dim < 1:
         raise ParseError("dim", "must be positive")
+    if dim > MAX_DIM:
+        raise ParseError("dim", f"must be at most {MAX_DIM}, got {dim}")
     epsilon = _require(doc, "epsilon", list, "a list of +-1")
     brackets = _require(doc, "brackets", list, "a list of bracket rows")
     vertical = _require(doc, "vertical", list, "a list of indices")
@@ -95,6 +103,8 @@ def document_to_setup(doc: dict) -> tuple[FoliationSetup, dict | None]:
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParseError(field, f"entries must be integers, got {v!r}")
+    if len(epsilon) != dim:
+        raise ParseError("epsilon", f"expected {dim} entries, got {len(epsilon)}")
 
     rows: dict[tuple[int, int], list[Fraction]] = {}
     for pos, entry in enumerate(brackets):
@@ -313,7 +323,11 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     with out:
-        report = run_sweep(config)
+        try:
+            report = run_sweep(config)
+        except SamplingError as exc:
+            print(f"sampling error: {exc}", file=sys.stderr)
+            return EXIT_SAMPLING
         if args.json:
             out.write(report.to_json())
     total = report.total_cases

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
     ConstraintError,
@@ -405,38 +405,57 @@ _TG_CIRCLE_ROWS = tuple(
     for lhs, rhs in (("c12", "c22"), ("c11", "c21"), ("b11", "b21"))
 )
 
-_TG_CIRCLE_LABELS = ("t14", "t24") + tuple(row[0] for row in _TG_CIRCLE_ROWS)
-
-# The totally-geodesic condition table: block rows and all labels, per family.
+# The block rows of the totally-geodesic condition table, per family.
 _TG_BLOCK_ROWS = {family: _tg_block_rows(family) for family in FamilyId}
-_TG_LABELS = {
-    family: tuple(row[0] for row in _TG_BLOCK_ROWS[family])
-    + (_TG_CIRCLE_LABELS if has_so2 else ())
-    for family, (_, has_so2) in _BLOCKS.items()
-}
 
 
-def _tg_values(spec: FamilySpec) -> Iterator[Fraction]:
-    """The condition values in _TG_LABELS order, computed lazily."""
-    eps, p = spec.signature.epsilon, spec.params
-    for _, i, s, j, param in _TG_BLOCK_ROWS[spec.family]:
-        factor, coeff = eps[i] + s * eps[j], p[param]
-        yield factor * coeff if factor and coeff else ZERO
-    if _BLOCKS[spec.family][1]:
-        yield p["t14"]
-        yield p["t24"]
-        for _, u, lhs, v, rhs in _TG_CIRCLE_ROWS:
-            yield p[u] * p[lhs] + p[v] * p[rhs]
+def _tg_terms(
+    family: FamilyId, params: Mapping[str, Fraction]
+) -> Iterator[tuple[str, tuple[int, int, int] | None, Fraction]]:
+    """(label, eps factor, parameter factor) per totally-geodesic condition, lazily.
+
+    The value is (eps_i + s*eps_j) * parameter factor for eps factor (i, s, j),
+    and the parameter factor itself for None (the circle conditions).
+    """
+    for label, i, s, j, param in _TG_BLOCK_ROWS[family]:
+        yield label, (i, s, j), params[param]
+    if _BLOCKS[family][1]:
+        yield "t14", None, params["t14"]
+        yield "t24", None, params["t24"]
+        for label, u, lhs, v, rhs in _TG_CIRCLE_ROWS:
+            yield label, None, params[u] * params[lhs] + params[v] * params[rhs]
+
+
+def _eps_scale(factor: tuple[int, int, int] | None, eps: Sequence[int]) -> int:
+    return 1 if factor is None else eps[factor[0]] + factor[1] * eps[factor[2]]
+
+
+def nonzero_tg_conditions(family: FamilyId, params: Mapping[str, Fraction]) -> Iterator[tuple]:
+    """(label, eps factor) of the conditions with a nonzero parameter factor, lazily.
+
+    They depend on the parameters only, so a sweep finds them once per draw.
+    """
+    return ((label, factor) for label, factor, coeff in _tg_terms(family, params) if coeff)
+
+
+def first_violated_condition(conditions: Iterable[tuple], eps: Sequence[int]) -> str | None:
+    """Label of the first of nonzero_tg_conditions that fails for causal characters eps, else None."""
+    return next((label for label, factor in conditions if _eps_scale(factor, eps)), None)
 
 
 def totally_geodesic_conditions(spec: FamilySpec) -> list[tuple[str, Fraction]]:
     """The family's exact condition list: totally geodesic iff every value is zero."""
-    return list(zip(_TG_LABELS[spec.family], _tg_values(spec)))
+    eps = spec.signature.epsilon
+    return [
+        (label, scale * coeff if (scale := _eps_scale(factor, eps)) and coeff else ZERO)
+        for label, factor, coeff in _tg_terms(spec.family, spec.params)
+    ]
 
 
 def closed_form_totally_geodesic(spec: FamilySpec) -> bool:
     """True iff every totally_geodesic_conditions value vanishes (stops at the first that does not)."""
-    return not any(_tg_values(spec))
+    conditions = nonzero_tg_conditions(spec.family, spec.params)
+    return first_violated_condition(conditions, spec.signature.epsilon) is None
 
 
 _RAW_SO2_COEFFS = (

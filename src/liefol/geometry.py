@@ -105,6 +105,9 @@ class FrameFreeVertical(NamedTuple):
     horizontal: tuple[int, int]
     # Per vertical pair i <= j: (i, j, halves along X, halves along Y).
     pairs: tuple[tuple[int, int, tuple[Fraction, ...], tuple[Fraction, ...]], ...]
+    # The pairs whose half for eps_i = eps_j, resp. eps_i != eps_j, is nonzero along X or Y.
+    same_nonzero: tuple[tuple[int, int], ...]
+    opposite_nonzero: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_setup(cls, setup: FoliationSetup) -> "FrameFreeVertical":
@@ -117,7 +120,19 @@ class FrameFreeVertical(NamedTuple):
             for j in setup.vertical[a:]:
                 hx, hy = _signed_halves(cxi[j], cx[j][i]), _signed_halves(cyi[j], cy[j][i])
                 pairs.append((i, j, hx, hy))
-        return cls(setup.dim, (x, y), tuple(pairs))
+        same = tuple((i, j) for i, j, hx, hy in pairs if hx[0] or hy[0])
+        opposite = tuple((i, j) for i, j, hx, hy in pairs if hx[2] or hy[2])
+        return cls(setup.dim, (x, y), tuple(pairs), same, opposite)
+
+    def totally_geodesic(self, eps: tuple[int, ...]) -> bool:
+        """Whether sff_V vanishes for causal characters eps.
+
+        eps_i eps_j picks each pair's half, and no outer sign makes it zero.
+        """
+        return not (
+            any(eps[i] == eps[j] for i, j in self.same_nonzero)
+            or any(eps[i] != eps[j] for i, j in self.opposite_nonzero)
+        )
 
     def form(self, eps: tuple[int, ...]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
         """sff_V of the frame with causal characters eps."""
@@ -203,24 +218,32 @@ class FrameFreeHorizontal(NamedTuple):
             xy[k] = mixed[offset + (ek != ey)]
         return HorizontalForm(tuple(xx), tuple(xy), tuple(yy))
 
+    def flags(self, eps: tuple[int, ...]) -> tuple[bool, bool, bool]:
+        """(conformal, semi-Riemannian, minimal) for causal characters eps."""
+        x, y = self.horizontal
+        conformal = self.diagonal_equal and self.mixed_zero[eps[x] != eps[y]]
+        minimal = not (self.mean_sums[0][0] or self.mean_sums[1][0])
+        return conformal, conformal and self.trace_free, minimal
+
+    def mean_curvature(self, eps: tuple[int, ...]) -> tuple[Fraction, ...]:
+        x, y = self.horizontal
+        mean = [ZERO] * self.dim
+        mean[x] = self.mean_sums[0][eps[x] < 0]
+        mean[y] = self.mean_sums[1][eps[y] < 0]
+        return tuple(mean)
+
     def report(
         self, eps: tuple[int, ...], bv: dict[tuple[int, int], tuple[Fraction, ...]]
     ) -> FoliationReport:
         """The classification for causal characters eps; bv is sff_V of the same split and frame."""
         x, y = self.horizontal
-        conformal = self.diagonal_equal and self.mixed_zero[eps[x] != eps[y]]
         conformal_vector = [ZERO] * self.dim
         for k, _, _, _, half in self.entries:
             conformal_vector[k] = half[eps[k] < 0]
-        mean = [ZERO] * self.dim
-        mean[x] = self.mean_sums[0][eps[x] < 0]
-        mean[y] = self.mean_sums[1][eps[y] < 0]
         return FoliationReport(
-            conformal=conformal,
-            semi_riemannian=conformal and self.trace_free,
-            minimal=not (mean[x] or mean[y]),
+            *self.flags(eps),
             totally_geodesic=all(not (vec[x] or vec[y]) for vec in bv.values()),
-            mean_curvature=tuple(mean),
+            mean_curvature=self.mean_curvature(eps),
             conformal_vector=tuple(conformal_vector),
             bh=self.form(eps),
             bv=bv,

@@ -32,15 +32,14 @@ from .families import (
     assemble_family_table,
     build_family,
     closed_form_minimal,
-    closed_form_totally_geodesic,
     family_basis_names,
     family_dimension,
     family_parameter_names,
+    first_violated_condition,
+    nonzero_tg_conditions,
     so2_failed_relation,
-    totally_geodesic_conditions,
 )
 from .geometry import (
-    FoliationReport,
     FrameFreeHorizontal,
     FrameFreeVertical,
     classify,
@@ -57,7 +56,14 @@ _COMPACT_FAMILIES = (FamilyId.SU2, FamilyId.SU2xSU2)
 # Detailed disagreement/counterexample entries kept per report; totals are exact.
 DETAIL_CAP = 100
 
+# Rejected circle draws allowed per sample before the sampler gives up.
+SO2_MAX_ATTEMPTS = 100_000
+
 _SIGNATURE_MODES = ("all", "riemannian-only", "fixed")
+
+
+class SamplingError(RuntimeError):
+    """The circle-family sampler found no feasible draw within SO2_MAX_ATTEMPTS rejections."""
 
 
 @dataclass(frozen=True)
@@ -191,80 +197,91 @@ def _draw_so2_params(
         if all(so2_failed_relation({**base, "x2": x2}, 1, s) is None for s, x2 in x2_by_class.items()):
             return base, x2_by_class, attempts
         attempts += 1
-        if attempts > 100_000:
-            raise RuntimeError("so2 sampling failed to find a feasible draw")
+        if attempts > SO2_MAX_ATTEMPTS:
+            raise SamplingError(
+                f"{family.value}: no feasible circle-family draw in {SO2_MAX_ATTEMPTS} attempts"
+            )
 
 
 def _ordered_params(family: FamilyId, params: dict) -> dict:
     return {name: params[name] for name in family_parameter_names(family)}
 
 
+def _describe(family: FamilyId, params_text: dict, eps: Sequence[int]) -> dict:
+    return {"family": family.value, "params": dict(params_text), "signature": list(eps)}
+
+
 def describe_spec(spec: FamilySpec) -> dict:
-    return {
-        "family": spec.family.value,
-        "params": {name: format_scalar(value) for name, value in spec.params.items()},
-        "signature": list(spec.signature.epsilon),
-    }
+    params_text = {name: format_scalar(value) for name, value in spec.params.items()}
+    return _describe(spec.family, params_text, spec.signature.epsilon)
 
 
-def _witness_entry(spec: FamilySpec, report: FoliationReport) -> dict:
-    names = family_basis_names(spec.family)
-    entry = describe_spec(spec)
-    conditions = totally_geodesic_conditions(spec)
-    violated = next((label for label, value in conditions if value != 0), None)
-    witness = report.totally_geodesic_witnesses
+def _witness_entry(
+    entry: dict, names: Sequence[str], violated: str | None, bv: dict[tuple[int, int], tuple[Fraction, ...]]
+) -> dict:
+    """Add the first violated closed-form condition and the first nonzero sff_V pair to entry."""
     entry["violatedCondition"] = violated
+    witness = next((item for item in sorted(bv.items()) if any(item[1])), None)
     if witness:
-        (i, j), vec = witness[0]
+        (i, j), vec = witness
         entry["witnessPair"] = [names[i], names[j]]
         entry["witnessValue"] = [format_scalar(v) for v in vec]
     return entry
 
 
 def _sweep_draws(config: SweepConfig):
-    """Yield (rejected circle draws, cases) per draw, cases being (spec, report) per signature.
+    """Yield (rejected circle draws, cases) per draw, cases being (eps, case) per signature.
 
     Each draw is built and validated once (once per eps_X*eps_Y class for the
-    circle families, whose x2 depends on it), and its frame-free forms give
-    the report of every signature.
+    circle families, whose x2 depends on it); a case is what every signature
+    of its class shares (see _class_cases).
     """
     family = config.family
-    frames = tuple(MetricFrame(sig) for sig in enumerate_signatures(config))
-    # The first frame of each eps_X*eps_Y class builds that class's table.
-    class_frames: dict[int, MetricFrame] = {}
-    for frame in frames:
-        class_frames.setdefault(frame.epsilon[-2] * frame.epsilon[-1], frame)
+    signatures = enumerate_signatures(config)
+    # The first signature of each eps_X*eps_Y class stands for that class.
+    class_eps: dict[int, tuple[int, ...]] = {}
+    for eps in signatures:
+        class_eps.setdefault(eps[-2] * eps[-1], eps)
+    frames = {s: MetricFrame(eps) for s, eps in class_eps.items()}
     for index in range(config.samples):
         rng = _sample_rng(config.seed, index)
         attempts = 0
         if family in _SO2_FAMILIES:
             base, x2_by_class, attempts = _draw_so2_params(
-                rng, family, config.parameter_range, tuple(sorted(class_frames))
+                rng, family, config.parameter_range, tuple(sorted(frames))
             )
             by_class = {}
-            for s, frame in class_frames.items():
+            for s, frame in frames.items():
                 params = _ordered_params(family, {**base, "x2": x2_by_class[s]})
                 spec = FamilySpec.create(family, params, frame)
-                by_class[s] = spec.params, *_frame_free(build_family(spec))
+                by_class.update(_class_cases(spec, build_family(spec), {s: class_eps[s]}))
         else:
             params = _draw_semisimple_params(rng, family, config.parameter_range)
-            spec = FamilySpec.create(family, params, frames[0])
-            built = spec.params, *_frame_free(build_family(spec))
-            by_class = dict.fromkeys(class_frames, built)
-        yield attempts, _frame_cases(family, frames, by_class)
+            spec = FamilySpec.create(family, params, next(iter(frames.values())))
+            by_class = _class_cases(spec, build_family(spec), class_eps)
+        yield attempts, ((eps, by_class[eps[-2] * eps[-1]]) for eps in signatures)
 
 
-def _frame_free(setup: FoliationSetup) -> tuple[FrameFreeHorizontal, FrameFreeVertical]:
-    """Both frame-free forms of a built draw."""
-    return FrameFreeHorizontal.from_setup(setup), FrameFreeVertical.from_setup(setup)
+def _class_cases(spec: FamilySpec, setup: FoliationSetup, class_eps: dict) -> dict:
+    """Per eps_X*eps_Y class in class_eps, the case its signatures share.
 
-
-def _frame_cases(family: FamilyId, frames: Sequence[MetricFrame], by_class: dict):
-    """(spec, report) per frame, from the params and frame-free forms of its eps_X*eps_Y class."""
-    for frame in frames:
-        eps = frame.epsilon
-        params, horizontal, vertical = by_class[eps[-2] * eps[-1]]
-        yield FamilySpec(family, params, frame), horizontal.report(eps, vertical.form(eps))
+    A case is (params, formatted params, horizontal forms, vertical forms,
+    geometric (conformal, semi-Riemannian, minimal), closed-form
+    (semi-Riemannian, minimal), whether those two agree, closed-form
+    totally-geodesic conditions with a nonzero parameter factor).  Per
+    signature only total geodesy is left to pick, on both sides.
+    """
+    horizontal, vertical = FrameFreeHorizontal.from_setup(setup), FrameFreeVertical.from_setup(setup)
+    params = spec.params
+    params_text = {name: format_scalar(value) for name, value in params.items()}
+    conditions = tuple(nonzero_tg_conditions(spec.family, params))
+    closed = (params["x1"] == 0 if spec.family in _SO2_FAMILIES else True, closed_form_minimal(spec))
+    cases = {}
+    for s, eps in class_eps.items():
+        conformal, semi, minimal = flags = horizontal.flags(eps)
+        agrees = conformal and (semi, minimal) == closed
+        cases[s] = (params, params_text, horizontal, vertical, flags, closed, agrees, conditions)
+    return cases
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -276,7 +293,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """
     family = config.family
     signatures = enumerate_signatures(config)
-    is_so2 = family in _SO2_FAMILIES
+    names = family_basis_names(family)
     track_conjectures = family in _SEMISIMPLE_FAMILIES
     compact_type = family in _COMPACT_FAMILIES
 
@@ -286,61 +303,50 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     minimality_details: list[dict] = []
     minimality_count = 0
     resampled = 0
-    total = 0
-    flag_counts = {"conformal": 0, "semiRiemannian": 0, "minimal": 0, "totallyGeodesic": 0}
+    total = n_conformal = n_semi = n_minimal = n_geodesic = 0
 
     for attempts, cases in _sweep_draws(config):
         resampled += attempts
-        for spec, report in cases:
-            cf_minimal = closed_form_minimal(spec)
-            cf_tg = closed_form_totally_geodesic(spec)
-            expected_semi = (spec.params["x1"] == 0) if is_so2 else True
-
+        for eps, (_, params_text, horizontal, vertical, flags, closed, agrees, conditions) in cases:
+            conformal, semi, minimal = flags
+            geodesic = vertical.totally_geodesic(eps)
+            violated = first_violated_condition(conditions, eps)
             total += 1
-            for flag, value in (
-                ("conformal", report.conformal),
-                ("semiRiemannian", report.semi_riemannian),
-                ("minimal", report.minimal),
-                ("totallyGeodesic", report.totally_geodesic),
-            ):
-                if value:
-                    flag_counts[flag] += 1
+            n_conformal += conformal
+            n_semi += semi
+            n_minimal += minimal
+            n_geodesic += geodesic
 
-            agrees = (
-                report.conformal
-                and report.semi_riemannian == expected_semi
-                and report.minimal == cf_minimal
-                and report.totally_geodesic == cf_tg
-            )
-            if not agrees:
-                entry = describe_spec(spec)
+            if not agrees or geodesic != (violated is None):
+                entry = _describe(family, params_text, eps)
                 entry["geometric"] = {
-                    "conformal": report.conformal,
-                    "semiRiemannian": report.semi_riemannian,
-                    "minimal": report.minimal,
-                    "totallyGeodesic": report.totally_geodesic,
+                    "conformal": conformal,
+                    "semiRiemannian": semi,
+                    "minimal": minimal,
+                    "totallyGeodesic": geodesic,
                 }
                 entry["closedForm"] = {
                     "conformal": True,
-                    "semiRiemannian": expected_semi,
-                    "minimal": cf_minimal,
-                    "totallyGeodesic": cf_tg,
+                    "semiRiemannian": closed[0],
+                    "minimal": closed[1],
+                    "totallyGeodesic": violated is None,
                 }
                 disagreements.append(entry)
 
-            if track_conjectures and report.conformal:
-                if not report.totally_geodesic:
+            if track_conjectures and conformal:
+                if not geodesic:
                     tg_count += 1
                     if len(tg_details) < DETAIL_CAP:
-                        detail = _witness_entry(spec, report)
+                        entry = _describe(family, params_text, eps)
+                        detail = _witness_entry(entry, names, violated, vertical.form(eps))
                         detail["compactType"] = compact_type
                         tg_details.append(detail)
-                if not report.minimal:
+                if not minimal:
                     minimality_count += 1
                     if len(minimality_details) < DETAIL_CAP:
-                        detail = describe_spec(spec)
+                        detail = _describe(family, params_text, eps)
                         detail["meanCurvature"] = [
-                            format_scalar(v) for v in report.mean_curvature
+                            format_scalar(v) for v in horizontal.mean_curvature(eps)
                         ]
                         minimality_details.append(detail)
 
@@ -355,7 +361,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         minimality_counterexamples=tuple(minimality_details),
         minimality_counterexample_count=minimality_count,
         resampled_draws=resampled,
-        flag_counts=flag_counts,
+        flag_counts={
+            "conformal": n_conformal,
+            "semiRiemannian": n_semi,
+            "minimal": n_minimal,
+            "totallyGeodesic": n_geodesic,
+        },
     )
 
 
@@ -373,6 +384,7 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
             "the conjecture premise requires a semisimple one"
         )
     signatures = enumerate_signatures(config)
+    names = family_basis_names(family)
     results: list[dict] = []
     for index in range(config.samples):
         rng = _sample_rng(config.seed, index)
@@ -384,7 +396,10 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
             if not (report.conformal and not report.totally_geodesic):
                 continue
             kform = killing_form(setup.tensor, setup.vertical)
-            entry = _witness_entry(spec, report)
+            violated = first_violated_condition(
+                nonzero_tg_conditions(family, spec.params), spec.signature.epsilon
+            )
+            entry = _witness_entry(describe_spec(spec), names, violated, report.bv)
             entry["compactType"] = is_negative_definite(kform)
             entry["semisimpleVertical"] = True
             entry["minimal"] = report.minimal

@@ -72,6 +72,15 @@ class TestStructureTensor:
         with pytest.raises(StructureError, match="antisymmetry"):
             StructureTensor(2, frozen)
 
+    def test_antisymmetry_error_names_the_first_violation(self):
+        c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+        c[0][2][1] = F(1)  # mirror left zero
+        c[1][0][2] = F(-3)  # mirror left zero, earlier in (i, j, k) order
+        frozen = tuple(tuple(tuple(v) for v in row) for row in c)
+        with pytest.raises(StructureError) as info:
+            StructureTensor(3, frozen)
+        assert str(info.value) == "antisymmetry violated at c[0][1][2] (= 0, mirror -3)"
+
     def test_rejects_bad_pairs(self):
         with pytest.raises(StructureError, match="i < j"):
             StructureTensor.from_rows(3, {(1, 0): [0, 0, 1]})

@@ -1,5 +1,6 @@
 """Document round-trips, exit codes, and command output."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefol import verifier
 from liefol.algebra import FoliationSetup, MetricFrame, StructureTensor
 from liefol.cli import (
     EXIT_CONSTRAINT,
     EXIT_JACOBI,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SAMPLING,
+    MAX_DIM,
     ParseError,
     document_to_setup,
     format_vector,
@@ -177,6 +181,33 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("parse error: file: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 3000])
+    def test_oversized_document_exits_three_before_building(self, dim, tmp_path, capsys, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the bracket table was allocated")
+
+        monkeypatch.setattr(StructureTensor, "from_rows", no_table)
+        doc = {"dim": dim, "epsilon": [1], "brackets": [], "vertical": [0], "horizontal": [1, 2]}
+        assert main(["check", write_doc(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"parse error: dim: must be at most {MAX_DIM}, got {dim}\n"
+
+    def test_epsilon_length_mismatch_exits_three_before_building(self, tmp_path, capsys, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the bracket table was allocated")
+
+        monkeypatch.setattr(StructureTensor, "from_rows", no_table)
+        doc = {"dim": MAX_DIM, "epsilon": [1], "brackets": [], "vertical": [0], "horizontal": [1, 2]}
+        assert main(["check", write_doc(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"parse error: epsilon: expected {MAX_DIM} entries, got 1\n"
+
+    def test_max_dim_document_is_accepted(self, tmp_path, capsys):
+        doc = {"dim": MAX_DIM, "epsilon": [1] * MAX_DIM, "brackets": [],
+               "vertical": list(range(MAX_DIM - 2)), "horizontal": [MAX_DIM - 2, MAX_DIM - 1]}
+        setup, _ = load_document(write_doc(tmp_path, doc))
+        assert setup.dim == MAX_DIM
+
     def test_witnesses_printed(self, tmp_path, capsys):
         setup = build_family(FamilySpec.create("su2", {"b11": 1}, (1, -1, 1, 1, 1)))
         meta = {"basis": ["A", "B", "C", "X", "Y"]}
@@ -290,11 +321,50 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --signatures: ") and err.count("\n") == 1
 
+    def test_sampler_exhaustion_exits_five_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # With no rejections allowed, the first infeasible circle draw ends the run.
+        monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 0)
+        json_path = str(tmp_path / "report.json")
+        code = main(["sweep", "su2xso2", "--samples", "20", "--seed", "1", "--json", json_path])
+        assert code == EXIT_SAMPLING
+        err = capsys.readouterr().err
+        assert err == "sampling error: su2xso2: no feasible circle-family draw in 0 attempts\n"
+
     def test_deterministic_json_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["sweep", "sl2r", "--samples", "15", "--seed", "11", "--json", p1])
         main(["sweep", "sl2r", "--samples", "15", "--seed", "11", "--json", p2])
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class TestSweepReportBytes:
+    """Small `sweep --json` reports of every family, pinned byte for byte by sha256."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("su2 --samples 8 --signatures all",
+             "357cd4346ba7176feba0cc937127a247449a955c058d0c5d6c9575463f8015f4"),
+            ("sl2r --samples 8 --signatures all",
+             "5c59bd4370ab7e1d3eb2a011bfb6b2f6f718d4d38b8bff914fd693901a077822"),
+            ("su2xsu2 --samples 2 --signatures all",
+             "fb6aaebb01613b88a638dad01d27eff8f277a56272d0c307ffe45ecfb733cbb4"),
+            ("su2xsl2r --samples 2 --signatures all",
+             "d5dd5c391c605a86da2ca5a6f169b0cef8e86b2ea534ce2691f83e5d744b8918"),
+            ("su2xso2 --samples 8 --signatures all",
+             "4f42fec46ce0aba173346d0acd742530d321510fa8c390631a0037dd9e23e36e"),
+            ("sl2rxso2 --samples 8 --signatures all",
+             "1e51b1a43fa895e4b1a94018e97268e53196244c2d54b55bf5c01b7f21c17586"),
+            ("su2xso2 --samples 20 --signatures riemannian-only",
+             "6b495716fba85dc226b84666344eb24b3fa74f77910036cc6dfd9455de3ed2db"),
+            ("su2 --samples 20 --signatures 1,-1,1,1,1 1,1,1,-1,1",
+             "f35dd32483413ba6498f8ac60f78bbecf07a2c06285994fbfe98cf602267d75e"),
+        ],
+    )
+    def test_report_digest(self, args, digest, tmp_path, capsys):
+        json_path = tmp_path / "report.json"
+        assert main(["sweep", *args.split(), "--seed", "5", "--json", str(json_path)]) == EXIT_OK
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == digest
 
 
 class TestCounterexampleCommand:

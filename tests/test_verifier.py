@@ -6,15 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from liefol.algebra import FoliationSetup, StructureError
+from liefol import verifier
+from liefol.algebra import FoliationSetup, MetricFrame, StructureError
 from liefol.families import (
     FamilyId,
     FamilySpec,
     build_family,
     build_so2_raw_setup,
+    closed_form_minimal,
     closed_form_theta,
+    closed_form_totally_geodesic,
     family_dimension,
     family_parameter_names,
+    first_violated_condition,
 )
 from liefol.geometry import (
     classify,
@@ -22,6 +26,7 @@ from liefol.geometry import (
     second_fundamental_form_vertical_via_connection,
 )
 from liefol.verifier import (
+    SamplingError,
     SweepConfig,
     enumerate_signatures,
     find_conjecture_counterexamples,
@@ -172,6 +177,23 @@ class TestRunSweep:
         assert 0 < report.flag_counts["minimal"] < report.total_cases
         assert report.resampled_draws >= 0
 
+    def test_closed_form_mismatches_are_recorded(self, monkeypatch):
+        real = verifier.closed_form_minimal
+        monkeypatch.setattr(verifier, "closed_form_minimal", lambda spec: not real(spec))
+        report = run_sweep(SweepConfig(family=FamilyId.SU2xSO2, samples=2, seed=4))
+        assert report.agreements == 0
+        assert len(report.disagreements) == report.total_cases == 2 * 64
+        for entry in report.disagreements:
+            assert entry["geometric"]["minimal"] != entry["closedForm"]["minimal"]
+        # A closed form that calls every case totally geodesic disagrees exactly
+        # where the classifier does not.
+        monkeypatch.setattr(verifier, "closed_form_minimal", real)
+        monkeypatch.setattr(verifier, "first_violated_condition", lambda conditions, eps: None)
+        report = run_sweep(SweepConfig(family=FamilyId.SU2, samples=3, seed=4))
+        not_geodesic = report.total_cases - report.flag_counts["totallyGeodesic"]
+        assert 0 < len(report.disagreements) == not_geodesic
+        assert all(not e["geometric"]["totallyGeodesic"] for e in report.disagreements)
+
     def test_determinism_byte_identical(self):
         config = SweepConfig(family=FamilyId.SL2R, samples=40, seed=42)
         a = run_sweep(config).to_json()
@@ -216,7 +238,10 @@ class TestSweepBuildsOncePerDraw:
         circle_mixed_rows = False  # y1 and x1 nonzero: sff_H(X, Y) depends on eps_X*eps_Y
         mean_directions = set()  # horizontal directions with nonzero mean curvature
         for _, draw_cases in _sweep_draws(config):
-            for sig, (spec, report) in zip(signatures, draw_cases):
+            for sig, (eps, case) in zip(signatures, draw_cases):
+                params, _, horizontal, vertical, flags, closed, _, conditions = case
+                spec = FamilySpec(family, params, MetricFrame(eps))
+                report = horizontal.report(eps, vertical.form(eps))
                 circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
                 assert spec.signature.epsilon == sig
                 # build_family has checked the Jacobi identity.
@@ -229,6 +254,21 @@ class TestSweepBuildsOncePerDraw:
                 )
                 assert second_fundamental_form_vertical(setup) == via_connection
                 assert report.bv == via_connection
+                # The sweep's per-signature picks: the same flags as the full report,
+                # and total geodesy exactly when the Koszul-route sff_V vanishes.
+                geodesic = vertical.totally_geodesic(eps)
+                assert (*flags, geodesic) == (
+                    report.conformal,
+                    report.semi_riemannian,
+                    report.minimal,
+                    report.totally_geodesic,
+                ), sig
+                assert geodesic == (not any(any(vec) for vec in via_connection.values()))
+                # ... and its per-draw closed forms equal the per-case predicates.
+                assert (first_violated_condition(conditions, eps) is None) == (
+                    closed_form_totally_geodesic(spec)
+                )
+                assert closed[1] == closed_form_minimal(spec)
                 # Mean curvature: the eps-weighted trace of the Koszul-route sff_V.
                 trace = tuple(
                     sum(sig[k] * via_connection[(k, k)][h] for k in setup.vertical)
@@ -287,6 +327,11 @@ class TestSo2Sampling:
                     (1, 1, 1, 1, 1, s),
                 )
                 build_family(spec)  # must not raise
+
+    def test_exhausted_sampler_raises_sampling_error(self, monkeypatch):
+        monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 3)
+        with pytest.raises(SamplingError, match="no feasible circle-family draw in 3 attempts"):
+            run_sweep(SweepConfig(family=FamilyId.SL2RxSO2, samples=50, seed=2))
 
 
 class TestCounterexampleSearch:
