@@ -47,6 +47,7 @@ from .geometry import (
     second_fundamental_form_vertical,
 )
 from .verifier import (
+    ReverificationError,
     SamplingError,
     SweepConfig,
     SweepReport,
@@ -68,6 +69,7 @@ __all__ = [
     "FoliationSetup",
     "JacobiError",
     "MetricFrame",
+    "ReverificationError",
     "SamplingError",
     "Scalar",
     "StructureError",

@@ -6,7 +6,8 @@ each pair at most once (the mirror rows are implied), "vertical": [ints],
 "horizontal": [i, j], optional "meta": object}.  Rationals travel as strings
 so no floating point ever enters the exact pipeline.
 
-Exit codes: 0 ok; 1 sweep found disagreements; 2 Jacobi failure; 3 parse /
+Exit codes: 0 ok; 1 sweep found disagreements, or a counterexample hit
+failed its re-verification; 2 Jacobi failure; 3 parse /
 unknown-family / invalid-argument error, unwritable output path, or a document
 with dim above MAX_DIM or an epsilon list whose length is not dim; 4 family
 constraint violation; 5 the circle-family sampler found no feasible draw.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -41,7 +43,13 @@ from .families import (
     family_dimension,
 )
 from .geometry import classify
-from .verifier import SamplingError, SweepConfig, find_conjecture_counterexamples, run_sweep
+from .verifier import (
+    ReverificationError,
+    SamplingError,
+    SweepConfig,
+    find_conjecture_counterexamples,
+    run_sweep,
+)
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -291,6 +299,17 @@ def _open_output(path: str):
         raise ParseError(path, exc.strerror or str(exc)) from None
 
 
+def _open_sibling_temporary(path: str):
+    """Create a temporary file next to path, to be renamed onto it; an unusable path is a ParseError."""
+    if os.path.isdir(path):
+        raise ParseError(path, "is a directory")
+    directory, name = os.path.split(os.path.abspath(path))
+    try:
+        return open(os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp"), "x", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(path, exc.strerror or str(exc)) from None
+
+
 def _signature_config(args, family: FamilyId) -> SweepConfig:
     mode = "all"
     fixed: tuple[tuple[int, ...], ...] = ()
@@ -317,19 +336,29 @@ def cmd_sweep(args) -> int:
     try:
         family = FamilyId.parse(args.family)
         config = _signature_config(args, family)
-        # Opened before the run, so a bad path fails before any work is done.
-        out = _open_output(args.json) if args.json else contextlib.nullcontext()
+        # Created before the run, so a bad path fails before any work is done;
+        # renamed onto the path only once the whole report is written.
+        out = _open_sibling_temporary(args.json) if args.json else None
     except (ParseError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    with out:
-        try:
-            report = run_sweep(config)
-        except SamplingError as exc:
-            print(f"sampling error: {exc}", file=sys.stderr)
-            return EXIT_SAMPLING
-        if args.json:
-            out.write(report.to_json())
+    try:
+        report = run_sweep(config)
+        if out:
+            with out:
+                out.write(report.to_json())
+            os.replace(out.name, args.json)
+    except SamplingError as exc:
+        print(f"sampling error: {exc}", file=sys.stderr)
+        return EXIT_SAMPLING
+    except OSError as exc:
+        print(f"error: {args.json}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
+    finally:
+        if out:
+            out.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(out.name)
     total = report.total_cases
     print(f"family: {family.value}")
     print(f"samples: {config.samples}")
@@ -370,6 +399,9 @@ def cmd_counterexample(args) -> int:
     except (ParseError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ReverificationError as exc:
+        print(f"re-verification error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
     if not hits:
         scope = "in Riemannian signature " if config.signature_mode == "riemannian-only" else ""
         print(

@@ -56,8 +56,13 @@ def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = Tru
         for j in range(dim):
             row = []
             for k in range(dim):
-                # Diagonal metric: g([e_k,e_i],e_j) = eps_j c[k][i][j], etc.
-                val = eps[j] * c[k][i][j] + eps[i] * c[k][j][i] + eps[k] * c[i][j][k]
+                # Diagonal metric: g([e_k,e_i],e_j) = eps_j c[k][i][j], etc.  Most
+                # coefficients are zero; skip the arithmetic when all three are.
+                kij, kji, ijk = c[k][i][j], c[k][j][i], c[i][j][k]
+                if not (kij or kji or ijk):
+                    row.append(ZERO)
+                    continue
+                val = eps[j] * kij + eps[i] * kji + eps[k] * ijk
                 row.append(HALF * eps[k] * val)
             rows.append(tuple(row))
         gamma.append(tuple(rows))

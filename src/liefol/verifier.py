@@ -21,7 +21,6 @@ from .algebra import (
     FoliationSetup,
     MetricFrame,
     StructureError,
-    StructureTensor,
     format_scalar,
     jacobi_residual,
     killing_form,
@@ -64,6 +63,10 @@ _SIGNATURE_MODES = ("all", "riemannian-only", "fixed")
 
 class SamplingError(RuntimeError):
     """The circle-family sampler found no feasible draw within SO2_MAX_ATTEMPTS rejections."""
+
+
+class ReverificationError(RuntimeError):
+    """A counterexample hit whose per-frame classify disagrees with the search's verdicts."""
 
 
 @dataclass(frozen=True)
@@ -211,11 +214,6 @@ def _describe(family: FamilyId, params_text: dict, eps: Sequence[int]) -> dict:
     return {"family": family.value, "params": dict(params_text), "signature": list(eps)}
 
 
-def describe_spec(spec: FamilySpec) -> dict:
-    params_text = {name: format_scalar(value) for name, value in spec.params.items()}
-    return _describe(spec.family, params_text, spec.signature.epsilon)
-
-
 def _witness_entry(
     entry: dict, names: Sequence[str], violated: str | None, bv: dict[tuple[int, int], tuple[Fraction, ...]]
 ) -> dict:
@@ -229,36 +227,47 @@ def _witness_entry(
     return entry
 
 
-def _sweep_draws(config: SweepConfig):
-    """Yield (rejected circle draws, cases) per draw, cases being (eps, case) per signature.
+def _draw_builds(config: SweepConfig):
+    """Yield (rejected circle draws, builds) per draw, a build being (spec, setup, class_eps).
 
     Each draw is built and validated once (once per eps_X*eps_Y class for the
-    circle families, whose x2 depends on it); a case is what every signature
-    of its class shares (see _class_cases).
+    circle families, whose x2 depends on it); class_eps maps the classes a
+    build serves to their first signatures.
     """
     family = config.family
-    signatures = enumerate_signatures(config)
     # The first signature of each eps_X*eps_Y class stands for that class.
     class_eps: dict[int, tuple[int, ...]] = {}
-    for eps in signatures:
+    for eps in enumerate_signatures(config):
         class_eps.setdefault(eps[-2] * eps[-1], eps)
     frames = {s: MetricFrame(eps) for s, eps in class_eps.items()}
     for index in range(config.samples):
         rng = _sample_rng(config.seed, index)
-        attempts = 0
         if family in _SO2_FAMILIES:
             base, x2_by_class, attempts = _draw_so2_params(
                 rng, family, config.parameter_range, tuple(sorted(frames))
             )
-            by_class = {}
+            builds = []
             for s, frame in frames.items():
                 params = _ordered_params(family, {**base, "x2": x2_by_class[s]})
                 spec = FamilySpec.create(family, params, frame)
-                by_class.update(_class_cases(spec, build_family(spec), {s: class_eps[s]}))
+                builds.append((spec, build_family(spec), {s: class_eps[s]}))
+            yield attempts, builds
         else:
             params = _draw_semisimple_params(rng, family, config.parameter_range)
             spec = FamilySpec.create(family, params, next(iter(frames.values())))
-            by_class = _class_cases(spec, build_family(spec), class_eps)
+            yield 0, ((spec, build_family(spec), class_eps),)
+
+
+def _sweep_draws(config: SweepConfig):
+    """Yield (rejected circle draws, cases) per draw, cases being (eps, case) per signature.
+
+    A case is what every signature of its eps_X*eps_Y class shares (see _class_cases).
+    """
+    signatures = enumerate_signatures(config)
+    for attempts, builds in _draw_builds(config):
+        by_class = {}
+        for spec, setup, class_eps in builds:
+            by_class.update(_class_cases(spec, setup, class_eps))
         yield attempts, ((eps, by_class[eps[-2] * eps[-1]]) for eps in signatures)
 
 
@@ -374,8 +383,11 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
     """Search for conformal, semisimple-vertical members that are not totally geodesic.
 
     Only meaningful for the semisimple families (the premise needs a
-    semisimple subgroup); every hit is rebuilt from scratch and re-verified
-    through the geometric classifier before being returned.
+    semisimple subgroup).  Per draw one build as in the sweep; per signature a
+    hit test picked from the frame-free forms; per hit, classify on the draw's
+    table in that frame re-verifies the hit (ReverificationError if it does
+    not) and gives the sff_V witness.  compactType, from the Killing form of
+    the vertical block, is computed once per draw with a hit.
     """
     family = config.family
     if family not in _SEMISIMPLE_FAMILIES:
@@ -386,21 +398,27 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
     signatures = enumerate_signatures(config)
     names = family_basis_names(family)
     results: list[dict] = []
-    for index in range(config.samples):
-        rng = _sample_rng(config.seed, index)
-        params = _draw_semisimple_params(rng, family, config.parameter_range)
-        for sig in signatures:
-            spec = FamilySpec.create(family, params, sig)
-            setup = build_family(spec)
-            report = classify(setup, require_jacobi=False)
-            if not (report.conformal and not report.totally_geodesic):
+    for _, builds in _draw_builds(config):
+        ((spec, setup, class_eps),) = builds
+        cases = _class_cases(spec, setup, class_eps)
+        compact_type = None
+        for eps in signatures:
+            _, params_text, _, vertical, (conformal, _, minimal), _, _, conditions = cases[eps[-2] * eps[-1]]
+            if not conformal or vertical.totally_geodesic(eps):
                 continue
-            kform = killing_form(setup.tensor, setup.vertical)
-            violated = first_violated_condition(
-                nonzero_tg_conditions(family, spec.params), spec.signature.epsilon
-            )
-            entry = _witness_entry(describe_spec(spec), names, violated, report.bv)
-            entry["compactType"] = is_negative_definite(kform)
+            hit = FoliationSetup(setup.tensor, MetricFrame(eps), setup.vertical, setup.horizontal)
+            report = classify(hit, require_jacobi=False)
+            if (report.conformal, report.totally_geodesic, report.minimal) != (True, False, minimal):
+                raise ReverificationError(
+                    f"{family.value} params {params_text} signature {list(eps)}: classify gives "
+                    f"conformal={report.conformal}, totally geodesic={report.totally_geodesic}, "
+                    f"minimal={report.minimal}, not the search's True, False, {minimal}"
+                )
+            if compact_type is None:
+                compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
+            violated = first_violated_condition(conditions, eps)
+            entry = _witness_entry(_describe(family, params_text, eps), names, violated, report.bv)
+            entry["compactType"] = compact_type
             entry["semisimpleVertical"] = True
             entry["minimal"] = report.minimal
             results.append(entry)
@@ -420,41 +438,34 @@ class ThetaSolution:
         return len(self.free_directions)
 
 
-def _jacobi_flat(tensor: StructureTensor) -> list[Fraction]:
-    report = jacobi_residual(tensor)
-    lookup = dict(report.violations)
-    dim = tensor.dim
-    flat: list[Fraction] = []
-    zero_row = (ZERO,) * dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                flat.extend(lookup.get((i, j, k), zero_row))
-    return flat
-
-
 def oracle_solve_theta(spec: FamilySpec, *, table_variant: str = "tx") -> ThetaSolution:
     """Solve for the [X, Y] vertical coefficients directly from the Jacobi identity.
 
     The residual is affine in theta (theta only enters the [X, Y] row, and the
     vertical factor it multiplies is central or a bracket partner at most
     once), so probing theta = 0 and the unit vectors assembles an exact linear
-    system.  Independent of closed_form_theta.
+    system: one equation per (triple, component) entry that is nonzero in
+    some probe, in sorted order (the others read 0 = 0).  Independent of
+    closed_form_theta.
     """
     m = family_dimension(spec.family) - 2
-    zero_theta = (ZERO,) * m
-    base = _jacobi_flat(assemble_family_table(spec, table_variant=table_variant, theta_override=zero_theta))
-    columns = []
     one = Fraction(1)
-    for pos in range(m):
-        probe = tuple(one if t == pos else ZERO for t in range(m))
-        flat = _jacobi_flat(
+    probes = [(ZERO,) * m] + [tuple(one if t == pos else ZERO for t in range(m)) for pos in range(m)]
+    residuals = [
+        dict(jacobi_residual(
             assemble_family_table(spec, table_variant=table_variant, theta_override=probe)
-        )
-        columns.append([f - b for f, b in zip(flat, base)])
-    rows = [[columns[c][r] for c in range(m)] for r in range(len(base))]
-    rhs = [-b for b in base]
-    solution = solve_linear_system(rows, rhs)
+        ).violations)
+        for probe in probes
+    ]
+    entries = sorted(
+        {(triple, k) for residual in residuals for triple, vec in residual.items() for k, v in enumerate(vec) if v}
+    )
+    base, *units = (
+        [residual[triple][k] if triple in residual else ZERO for triple, k in entries]
+        for residual in residuals
+    )
+    rows = [[unit[r] - b for unit in units] for r, b in enumerate(base)]
+    solution = solve_linear_system(rows, [-b for b in base])
     if solution.status == "infeasible":
         return ThetaSolution("infeasible", None, ())
     return ThetaSolution(solution.status, solution.particular, solution.nullspace)

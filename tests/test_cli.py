@@ -1,5 +1,6 @@
 """Document round-trips, exit codes, and command output."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,6 +14,7 @@ from liefol import verifier
 from liefol.algebra import FoliationSetup, MetricFrame, StructureTensor
 from liefol.cli import (
     EXIT_CONSTRAINT,
+    EXIT_DISAGREEMENT,
     EXIT_JACOBI,
     EXIT_OK,
     EXIT_PARSE,
@@ -330,6 +332,33 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err == "sampling error: su2xso2: no feasible circle-family draw in 0 attempts\n"
 
+    def test_failed_run_leaves_no_report_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 0)
+        json_path = tmp_path / "report.json"
+        assert main(["sweep", "su2xso2", "--json", str(json_path)]) == EXIT_SAMPLING
+        assert not json_path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_replaces_an_existing_file_only_after_success(self, tmp_path, capsys, monkeypatch):
+        json_path = tmp_path / "report.json"
+        json_path.write_text("previous\n")
+        monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 0)
+        assert main(["sweep", "su2xso2", "--json", str(json_path)]) == EXIT_SAMPLING
+        assert json_path.read_text() == "previous\n"
+        monkeypatch.undo()
+        assert main(["sweep", "su2", "--samples", "2", "--json", str(json_path)]) == EXIT_OK
+        assert json.loads(json_path.read_text())["totalCases"] == 2 * 32
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_directory_as_json_path_exits_three_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("sweep ran before the output path was checked")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        assert main(["sweep", "su2", "--samples", "1", "--json", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_deterministic_json_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["sweep", "sl2r", "--samples", "15", "--seed", "11", "--json", p1])
@@ -388,6 +417,33 @@ class TestCounterexampleCommand:
         assert "counterexample 1:" in out
         assert "violated condition" in out
         assert "compact-type vertical: yes" in out
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("su2 --signatures 1,-1,1,1,1 --max-print 3",
+             "54b903d78ab769a21ec83d2255010c6876a77cb9aa309c15d8dfd6fc3fed29ac"),
+            ("su2xsu2 --samples 3",
+             "19550e6028d1557c86bdafa55d64c19e1c878474a519afa3cf5eef7876b3995d"),
+        ],
+    )
+    def test_stdout_digest(self, args, digest, capsys):
+        assert main(["counterexample", *args.split()]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_reverification_failure_exits_one_with_one_line(self, capsys, monkeypatch):
+        real = verifier.classify
+        monkeypatch.setattr(
+            verifier,
+            "classify",
+            lambda setup, **kwargs: dataclasses.replace(real(setup, **kwargs), conformal=False),
+        )
+        code = main(["counterexample", "su2", "--samples", "5", "--signatures", "1,-1,1,1,1"])
+        assert code == EXIT_DISAGREEMENT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("re-verification error: su2 params {")
+        assert captured.err.count("\n") == 1
 
     def test_riemannian_none_message(self, capsys):
         code = main(

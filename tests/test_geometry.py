@@ -13,6 +13,7 @@ from liefol.algebra import (
     MetricFrame,
     StructureError,
     StructureTensor,
+    jacobi_residual,
 )
 from liefol.families import (
     FamilyId,
@@ -116,6 +117,62 @@ class TestConnection:
                         + frame.inner(basis(k), t.c[i][j])
                     )
                     assert 2 * frame.epsilon[k] * conn.gamma[i][j][k] == rhs
+
+    @staticmethod
+    def textbook_gamma(setup: FoliationSetup):
+        """Reference: the Koszul formula on every (i, j, k), with no zero skipping."""
+        c, eps, dim = setup.tensor.c, setup.frame.epsilon, setup.dim
+        return tuple(
+            tuple(
+                tuple(
+                    F(1, 2) * eps[k] * (eps[j] * c[k][i][j] + eps[i] * c[k][j][i] + eps[k] * c[i][j][k])
+                    for k in range(dim)
+                )
+                for j in range(dim)
+            )
+            for i in range(dim)
+        )
+
+    @staticmethod
+    def random_raw_setup(rng: random.Random) -> FoliationSetup:
+        """A sparse random bracket table, usually not a Lie algebra, with a random split."""
+        dim = rng.randint(3, 8)
+        horizontal = tuple(rng.sample(range(dim), 2))
+        vertical = tuple(i for i in range(dim) if i not in horizontal)
+        rows = {}
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if rng.random() < 0.4:
+                    # The vertical span must stay a subalgebra.
+                    closed = i in vertical and j in vertical
+                    rows[(i, j)] = [
+                        F(rng.randint(-5, 5), rng.randint(1, 4))
+                        if rng.random() < 0.3 and not (closed and k in horizontal)
+                        else F(0)
+                        for k in range(dim)
+                    ]
+        frame = MetricFrame(tuple(rng.choice((1, -1)) for _ in range(dim)))
+        return FoliationSetup(StructureTensor.from_rows(dim, rows), frame, vertical, horizontal)
+
+    def test_matches_textbook_koszul_loop(self):
+        rng = random.Random(17)
+        setups = [random_family_setup(rng)[1] for _ in range(12)]
+        setups += [self.random_raw_setup(rng) for _ in range(40)]
+        # A table built directly with int entries.
+        raw = setups[-1]
+        ints = tuple(tuple(tuple(int(2 * v) for v in vec) for vec in row) for row in raw.tensor.c)
+        setups.append(
+            FoliationSetup(StructureTensor(raw.dim, ints), raw.frame, raw.vertical, raw.horizontal)
+        )
+        assert sum(not jacobi_residual(setup.tensor).is_zero for setup in setups) > len(setups) // 2
+        skipped = 0
+        for setup in setups:
+            gamma = connection_coefficients(setup, require_jacobi=False).gamma
+            assert gamma == self.textbook_gamma(setup)
+            entries = [v for rows in gamma for row in rows for v in row]
+            assert all(type(v) is Fraction for v in entries)
+            skipped += entries.count(0)
+        assert skipped
 
     @pytest.mark.parametrize("seed", range(6))
     def test_torsion_free_and_metric_compatible(self, seed):

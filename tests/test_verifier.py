@@ -1,5 +1,6 @@
 """Theta oracle, sweep harness, counterexample search."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -7,25 +8,37 @@ from fractions import Fraction
 import pytest
 
 from liefol import verifier
-from liefol.algebra import FoliationSetup, MetricFrame, StructureError
+from liefol.algebra import (
+    FoliationSetup,
+    MetricFrame,
+    StructureError,
+    format_scalar,
+    jacobi_residual,
+    killing_form,
+)
 from liefol.families import (
     FamilyId,
     FamilySpec,
+    assemble_family_table,
     build_family,
     build_so2_raw_setup,
     closed_form_minimal,
     closed_form_theta,
     closed_form_totally_geodesic,
+    family_basis_names,
     family_dimension,
     family_parameter_names,
     first_violated_condition,
+    nonzero_tg_conditions,
 )
 from liefol.geometry import (
     classify,
     second_fundamental_form_vertical,
     second_fundamental_form_vertical_via_connection,
 )
+from liefol.linalg import is_negative_definite, solve_linear_system
 from liefol.verifier import (
+    ReverificationError,
     SamplingError,
     SweepConfig,
     enumerate_signatures,
@@ -33,7 +46,9 @@ from liefol.verifier import (
     oracle_conformal_from_definition,
     oracle_solve_theta,
     run_sweep,
+    _draw_semisimple_params,
     _draw_so2_params,
+    _sample_rng,
     _sweep_draws,
 )
 
@@ -104,6 +119,75 @@ class TestThetaOracle:
                 # the closed form lies on the solution line (theta4 direction)
                 assert sol.theta[:3] == closed[:3]
                 assert sol.free_directions[0][:3] == (F(0), F(0), F(0))
+
+
+def dense_theta_solution(spec, table_variant="tx"):
+    """Reference for oracle_solve_theta: one equation per component of every triple i < j < k."""
+
+    def flat(tensor):
+        lookup = dict(jacobi_residual(tensor).violations)
+        dim = tensor.dim
+        zero_row = (F(0),) * dim
+        out = []
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                for k in range(j + 1, dim):
+                    out.extend(lookup.get((i, j, k), zero_row))
+        return out
+
+    m = family_dimension(spec.family) - 2
+    base = flat(assemble_family_table(spec, table_variant=table_variant, theta_override=(F(0),) * m))
+    columns = []
+    for pos in range(m):
+        probe = tuple(F(1) if t == pos else F(0) for t in range(m))
+        probed = flat(assemble_family_table(spec, table_variant=table_variant, theta_override=probe))
+        columns.append([f - b for f, b in zip(probed, base)])
+    rows = [[columns[c][r] for c in range(m)] for r in range(len(base))]
+    solution = solve_linear_system(rows, [-b for b in base])
+    if solution.status == "infeasible":
+        return verifier.ThetaSolution("infeasible", None, ())
+    return verifier.ThetaSolution(solution.status, solution.particular, solution.nullspace)
+
+
+class TestThetaOracleMatchesDenseSystem:
+    """The oracle's system of nonzero residual entries has the dense system's solution set."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_seeded_members(self, family):
+        rng = random.Random(f"dense-theta-{family.value}")
+        dim = family_dimension(family)
+        statuses = set()
+        for _ in range(6):
+            sig = tuple(rng.choice((1, -1)) for _ in range(dim))
+            if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
+                s = sig[-2] * sig[-1]
+                base, x2s, _ = _draw_so2_params(rng, family, 6, (s,))
+                spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
+            else:
+                spec = FamilySpec.create(family, _draw_semisimple_params(rng, family, 6), sig)
+            variants = ("tx", "ty") if family is FamilyId.SL2RxSO2 else ("tx",)
+            for variant in variants:
+                solution = oracle_solve_theta(spec, table_variant=variant)
+                assert solution == dense_theta_solution(spec, variant)
+                statuses.add(solution.status)
+        assert "unique" in statuses
+
+    @pytest.mark.parametrize(
+        "family, params, variant, status",
+        [
+            # sl2r x so2 with the rejected [T, .] sign pattern.
+            ("sl2rxso2", {"x1": 1, "y2": 1, "c11": 1}, "ty", "infeasible"),
+            # The circle stratum x1 = 0: theta4 is free.
+            ("su2xso2", {"b11": 1, "c22": F(1, 2), "t14": 1}, "tx", "affine"),
+            ("sl2rxso2", {"b21": 2, "c12": F(-1, 3), "rho": 1}, "tx", "affine"),
+            ("su2xso2", {"x2": 1, "y1": -1, "t14": 1}, "tx", "infeasible"),
+        ],
+    )
+    def test_named_strata(self, family, params, variant, status):
+        spec = FamilySpec.create(family, params)
+        solution = oracle_solve_theta(spec, table_variant=variant)
+        assert solution.status == status
+        assert solution == dense_theta_solution(spec, variant)
 
 
 class TestSignatureEnumeration:
@@ -402,6 +486,105 @@ class TestCounterexampleSearch:
         assert hits
         assert all(entry["compactType"] is False for entry in hits)
         assert all(entry["minimal"] for entry in hits)
+
+
+def reference_counterexamples(config):
+    """Reference for find_conjecture_counterexamples: a full spec, build and classify per (draw, signature)."""
+    family = config.family
+    names = family_basis_names(family)
+    results = []
+    for index in range(config.samples):
+        params = _draw_semisimple_params(_sample_rng(config.seed, index), family, config.parameter_range)
+        for sig in enumerate_signatures(config):
+            spec = FamilySpec.create(family, params, sig)
+            setup = build_family(spec)
+            report = classify(setup, require_jacobi=False)
+            if not (report.conformal and not report.totally_geodesic):
+                continue
+            entry = {
+                "family": family.value,
+                "params": {name: format_scalar(v) for name, v in spec.params.items()},
+                "signature": list(sig),
+                "violatedCondition": first_violated_condition(
+                    nonzero_tg_conditions(family, spec.params), sig
+                ),
+            }
+            (i, j), vec = report.totally_geodesic_witnesses[0]
+            entry["witnessPair"] = [names[i], names[j]]
+            entry["witnessValue"] = [format_scalar(v) for v in vec]
+            entry["compactType"] = is_negative_definite(killing_form(setup.tensor, setup.vertical))
+            entry["semisimpleVertical"] = True
+            entry["minimal"] = report.minimal
+            results.append(entry)
+    return results
+
+
+class TestCounterexampleSearchMatchesReference:
+    FIXED = {
+        5: ((1, -1, 1, 1, 1), (1, 1, -1, 1, -1)),
+        8: ((1, -1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, -1, 1, -1)),
+    }
+
+    @pytest.mark.parametrize("family", [FamilyId.SU2, FamilyId.SL2R, FamilyId.SU2xSU2, FamilyId.SU2xSL2R])
+    @pytest.mark.parametrize("mode", ["all", "riemannian-only", "fixed"])
+    def test_entries_and_key_order(self, family, mode):
+        dim = family_dimension(family)
+        samples = {"all": 1 if dim == 8 else 6, "riemannian-only": 20, "fixed": 8}[mode]
+        config = SweepConfig(
+            family=family,
+            samples=samples,
+            seed=23,
+            signature_mode=mode,
+            fixed_signatures=self.FIXED[dim] if mode == "fixed" else (),
+        )
+        hits = find_conjecture_counterexamples(config)
+        assert json.dumps(hits) == json.dumps(reference_counterexamples(config))
+        # Compact-type Riemannian members are the conjecture's own setting: no hits there.
+        compact_riemannian = family in (FamilyId.SU2, FamilyId.SU2xSU2) and mode == "riemannian-only"
+        assert bool(hits) != compact_riemannian
+
+    def test_one_build_per_draw_and_one_classify_per_hit(self, monkeypatch):
+        counts = {"build": 0, "classify": 0, "killing": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(verifier, "build_family", counting("build", verifier.build_family))
+        monkeypatch.setattr(verifier, "classify", counting("classify", verifier.classify))
+        monkeypatch.setattr(verifier, "killing_form", counting("killing", verifier.killing_form))
+        # Every sl2r member is totally geodesic at (-1, 1, 1, 1, 1): each eps factor vanishes.
+        config = SweepConfig(
+            family=FamilyId.SL2R,
+            samples=12,
+            seed=1,
+            signature_mode="fixed",
+            fixed_signatures=((1, 1, 1, 1, 1), (-1, 1, 1, 1, 1), (1, 1, 1, -1, 1)),
+        )
+        hits = find_conjecture_counterexamples(config)
+        draws_with_hits = len({json.dumps(entry["params"]) for entry in hits})
+        assert 0 < draws_with_hits < config.samples < len(hits)
+        assert counts == {"build": 12, "classify": len(hits), "killing": draws_with_hits}
+
+    def test_reverification_failure_raises(self, monkeypatch):
+        real = verifier.classify
+        monkeypatch.setattr(
+            verifier,
+            "classify",
+            lambda setup, **kwargs: dataclasses.replace(real(setup, **kwargs), conformal=False),
+        )
+        config = SweepConfig(
+            family=FamilyId.SU2,
+            samples=5,
+            seed=7,
+            signature_mode="fixed",
+            fixed_signatures=((1, -1, 1, 1, 1),),
+        )
+        with pytest.raises(ReverificationError, match=r"^su2 params \{.*\} signature \[1, -1, 1, 1, 1\]: "):
+            find_conjecture_counterexamples(config)
 
 
 class TestConformalityOracle:
