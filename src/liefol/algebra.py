@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -60,6 +61,10 @@ def as_scalar(value: ScalarLike, *, float_tolerance: Fraction | None = None) -> 
             return Fraction(text)
         except ZeroDivisionError as exc:
             raise StructureError(f"not an exact rational literal: {value!r}") from exc
+        except ValueError as exc:  # more digits than int() converts
+            raise StructureError(
+                f"not an exact rational literal: a numeral of more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
     if isinstance(value, float):
         if float_tolerance is None:
             raise StructureError(

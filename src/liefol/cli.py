@@ -174,6 +174,14 @@ def load_document(path: str) -> tuple[FoliationSetup, dict | None]:
         raise ParseError("file", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ParseError("file", "invalid JSON: nested too deeply") from None
+    except UnicodeDecodeError:
+        raise ParseError("file", "not UTF-8 text") from None
+    except ValueError:
+        # Not a JSONDecodeError: json.load converts integers with int(), which
+        # refuses more than sys.get_int_max_str_digits() digits.
+        raise ParseError(
+            "file", f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     return document_to_setup(doc)
 
 

@@ -125,6 +125,9 @@ class FrameFreeVertical(NamedTuple):
             for j in setup.vertical[a:]:
                 hx, hy = _signed_halves(cxi[j], cx[j][i]), _signed_halves(cyi[j], cy[j][i])
                 pairs.append((i, j, hx, hy))
+        # Sorted by (i, j), also when setup.vertical is not, so first_nonzero
+        # meets the pairs in the order of sorted(form(eps).items()).
+        pairs.sort(key=lambda pair: pair[:2])
         same = tuple((i, j) for i, j, hx, hy in pairs if hx[0] or hy[0])
         opposite = tuple((i, j) for i, j, hx, hy in pairs if hx[2] or hy[2])
         return cls(setup.dim, (x, y), tuple(pairs), same, opposite)
@@ -139,22 +142,38 @@ class FrameFreeVertical(NamedTuple):
             or any(eps[i] != eps[j] for i, j in self.opposite_nonzero)
         )
 
-    def form(self, eps: tuple[int, ...]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        """sff_V of the frame with causal characters eps."""
+    def _picks(self, eps: tuple[int, ...]):
+        """(i, j, X and Y components of sff_V(e_i, e_j)) per vertical pair, in sorted (i, j) order."""
         x, y = self.horizontal
         ex, ey = eps[x], eps[y]
-        zeros = [ZERO] * self.dim
-        out = {}
         for i, j, hx, hy in self.pairs:
             ej = eps[j]
             # Index 2*(same < 0) + (outer < 0) with same = eps_i eps_j and
             # outer = eps_h eps_j (see _signed_halves).
             offset = 2 * (eps[i] != ej)
-            vec = zeros.copy()
-            vec[x] = hx[offset + (ex != ej)]
-            vec[y] = hy[offset + (ey != ej)]
-            out[(i, j)] = tuple(vec)
-        return out
+            yield i, j, hx[offset + (ex != ej)], hy[offset + (ey != ej)]
+
+    def _vector(self, along_x: Fraction, along_y: Fraction) -> tuple[Fraction, ...]:
+        vec = [ZERO] * self.dim
+        x, y = self.horizontal
+        vec[x], vec[y] = along_x, along_y
+        return tuple(vec)
+
+    def form(self, eps: tuple[int, ...]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """sff_V of the frame with causal characters eps."""
+        return {(i, j): self._vector(vx, vy) for i, j, vx, vy in self._picks(eps)}
+
+    def first_nonzero(
+        self, eps: tuple[int, ...]
+    ) -> tuple[tuple[int, int], tuple[Fraction, ...]] | None:
+        """The first item of sorted(form(eps).items()) with a nonzero value, or None.
+
+        Builds only that pair's vector.
+        """
+        for i, j, vx, vy in self._picks(eps):
+            if vx or vy:
+                return (i, j), self._vector(vx, vy)
+        return None
 
 
 class FrameFreeHorizontal(NamedTuple):

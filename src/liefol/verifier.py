@@ -11,10 +11,10 @@ closed formulas it cross-checks.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
 from .algebra import (
@@ -110,8 +110,85 @@ def enumerate_signatures(config: SweepConfig) -> tuple[tuple[int, ...], ...]:
     return config.fixed_signatures
 
 
+# JSON text of a report's scalar leaves, by exact type, as json.dumps writes them.
+_JSON_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+}
+
+# The top-level report fields that hold entry lists (see SweepReport.to_json).
+_ENTRY_LISTS = frozenset(("disagreements", "conjectureCounterexamples", "minimalityCounterexamples"))
+_ENTRY_INDENT = " " * 4
+_ENTRY_FIELD_INDENT = " " * 6
+
+
+def _json_block(value, indent: str) -> str:
+    """value as json.dumps(..., indent=2) writes it on a line indented by indent.
+
+    Reports hold dicts, lists, and str, int, bool and None leaves; any other
+    type raises TypeError.
+    """
+    render = _JSON_SCALARS.get(type(value))
+    if render:
+        return render(value)
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = map(_json_string, value)
+        fields = map("{}: {}".format, keys, _json_items(value.values(), inner))
+        return f"{{\n{inner}{separator.join(fields)}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return f"[\n{inner}{separator.join(_json_items(value, inner))}\n{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_items(values, indent: str):
+    """The JSON text of each of values, on lines indented by indent."""
+    kinds = set(map(type, values))
+    render = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    # A block of one scalar type, as most are, is written without a call per item.
+    return map(render, values) if render else (_json_block(item, indent) for item in values)
+
+
+def _json_entry(entry: dict, blocks: dict[int, str]) -> str:
+    """One entry of a report's entry list, as json.dumps(..., indent=2) writes it.
+
+    blocks holds the text of the container values written so far, by id: the
+    entries of a report share their params and signature blocks, so each is
+    written once.  Every value is held by the report while it is written, so
+    no id is reused meanwhile.
+    """
+    if not entry:
+        return _ENTRY_INDENT + "{}"
+    fields = []
+    for key, value in entry.items():
+        render = _JSON_SCALARS.get(type(value))
+        if render:
+            text = render(value)
+        else:
+            text = blocks.get(id(value))
+            if text is None:
+                text = blocks[id(value)] = _json_block(value, _ENTRY_FIELD_INDENT)
+        fields.append(f"{_json_string(key)}: {text}")
+    separator = ",\n" + _ENTRY_FIELD_INDENT
+    return f"{_ENTRY_INDENT}{{\n{_ENTRY_FIELD_INDENT}{separator.join(fields)}\n{_ENTRY_INDENT}}}"
+
+
 @dataclass(frozen=True)
 class SweepReport:
+    """A sweep's totals and detail entries.
+
+    The entries of one report share their "params" block (one dict per draw)
+    and their "signature" block (one list per signature); treat them as
+    read-only.
+    """
+
     config: SweepConfig
     signatures_per_draw: int
     total_cases: int
@@ -153,7 +230,21 @@ class SweepReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """json.dumps(self.to_json_dict(), indent=2) + "\\n", byte for byte.
+
+        json.dumps drops to its pure-Python encoder whenever indent is set.
+        This writes the report's fixed layout directly, and each shared params
+        or signature block once.
+        """
+        blocks: dict[int, str] = {}
+        fields = []
+        for key, value in self.to_json_dict().items():
+            if key in _ENTRY_LISTS and value:
+                text = "[\n" + ",\n".join(_json_entry(entry, blocks) for entry in value) + "\n  ]"
+            else:
+                text = _json_block(value, "  ")
+            fields.append(f"  {_json_string(key)}: {text}")
+        return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:
@@ -210,16 +301,19 @@ def _ordered_params(family: FamilyId, params: dict) -> dict:
     return {name: params[name] for name in family_parameter_names(family)}
 
 
-def _describe(family: FamilyId, params_text: dict, eps: Sequence[int]) -> dict:
-    return {"family": family.value, "params": dict(params_text), "signature": list(eps)}
+def _describe(family: FamilyId, params_text: dict, signature: list[int]) -> dict:
+    """The head of a detail entry; params_text and signature are shared, not copied."""
+    return {"family": family.value, "params": params_text, "signature": signature}
 
 
 def _witness_entry(
-    entry: dict, names: Sequence[str], violated: str | None, bv: dict[tuple[int, int], tuple[Fraction, ...]]
+    entry: dict,
+    names: Sequence[str],
+    violated: str | None,
+    witness: tuple[tuple[int, int], tuple[Fraction, ...]] | None,
 ) -> dict:
-    """Add the first violated closed-form condition and the first nonzero sff_V pair to entry."""
+    """Add the first violated closed-form condition and witness, the first nonzero sff_V pair, to entry."""
     entry["violatedCondition"] = violated
-    witness = next((item for item in sorted(bv.items()) if any(item[1])), None)
     if witness:
         (i, j), vec = witness
         entry["witnessPair"] = [names[i], names[j]]
@@ -305,6 +399,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     names = family_basis_names(family)
     track_conjectures = family in _SEMISIMPLE_FAMILIES
     compact_type = family in _COMPACT_FAMILIES
+    signature_lists = {eps: list(eps) for eps in signatures}
 
     disagreements: list[dict] = []
     tg_details: list[dict] = []
@@ -327,7 +422,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             n_geodesic += geodesic
 
             if not agrees or geodesic != (violated is None):
-                entry = _describe(family, params_text, eps)
+                entry = _describe(family, params_text, signature_lists[eps])
                 entry["geometric"] = {
                     "conformal": conformal,
                     "semiRiemannian": semi,
@@ -346,14 +441,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 if not geodesic:
                     tg_count += 1
                     if len(tg_details) < DETAIL_CAP:
-                        entry = _describe(family, params_text, eps)
-                        detail = _witness_entry(entry, names, violated, vertical.form(eps))
+                        entry = _describe(family, params_text, signature_lists[eps])
+                        detail = _witness_entry(entry, names, violated, vertical.first_nonzero(eps))
                         detail["compactType"] = compact_type
                         tg_details.append(detail)
                 if not minimal:
                     minimality_count += 1
                     if len(minimality_details) < DETAIL_CAP:
-                        detail = _describe(family, params_text, eps)
+                        detail = _describe(family, params_text, signature_lists[eps])
                         detail["meanCurvature"] = [
                             format_scalar(v) for v in horizontal.mean_curvature(eps)
                         ]
@@ -417,7 +512,8 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
             if compact_type is None:
                 compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
             violated = first_violated_condition(conditions, eps)
-            entry = _witness_entry(_describe(family, params_text, eps), names, violated, report.bv)
+            witness = next((item for item in sorted(report.bv.items()) if any(item[1])), None)
+            entry = _witness_entry(_describe(family, params_text, list(eps)), names, violated, witness)
             entry["compactType"] = compact_type
             entry["semisimpleVertical"] = True
             entry["minimal"] = report.minimal

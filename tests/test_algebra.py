@@ -42,6 +42,12 @@ class TestScalar:
         assert as_scalar(F(1, 3)) == F(1, 3)
         assert as_scalar(5) == F(5)
 
+    @pytest.mark.parametrize("literal", ["9" * 5000, "1/" + "9" * 5000, "-" + "1" * 4400 + "/3"])
+    def test_rejects_literals_longer_than_int_conversion_allows(self, literal):
+        with pytest.raises(StructureError, match="not an exact rational literal"):
+            as_scalar(literal)
+        assert as_scalar("9" * 4000) == 10**4000 - 1
+
     @pytest.mark.parametrize("bad", ["0.5", "1e3", "abc", "1/0", "1_000", "\u0663", None, True])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(StructureError):

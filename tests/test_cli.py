@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,32 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("parse error: file: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "quoted, message",
+        [
+            (True, "brackets[0].coeffs[0]: not an exact rational literal: a numeral of more than {} digits"),
+            (False, "file: invalid JSON: an integer of more than {} digits"),
+        ],
+    )
+    def test_over_long_coefficient_exits_three_with_one_line(self, quoted, message, tmp_path, capsys):
+        # More digits than int() converts, given as a rational string or as a JSON integer.
+        literal = "9" * 5000
+        doc = {"dim": 3, "epsilon": [1, 1, 1], "brackets": [{"i": 0, "j": 1, "coeffs": [literal, "0", "0"]}],
+               "vertical": [0], "horizontal": [1, 2]}
+        text = json.dumps(doc)
+        if not quoted:
+            text = text.replace(f'"{literal}"', literal)
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {message.format(sys.get_int_max_str_digits())}\n"
+
+    def test_non_utf8_document_exits_three_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dim": 3, "meta": {"name": "\u00e9"}}'.encode("latin-1"))
+        assert main(["check", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: file: not UTF-8 text\n"
+
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 3000])
     def test_oversized_document_exits_three_before_building(self, dim, tmp_path, capsys, monkeypatch):
         def no_table(*args, **kwargs):
@@ -267,6 +294,13 @@ class TestFamilyCommand:
 
     def test_bad_param_value_exits_three(self, capsys):
         assert main(["family", "su2", "--param", "b11=0.5"]) == EXIT_PARSE
+
+    def test_over_long_param_exits_three_with_one_line(self, capsys):
+        assert main(["family", "su2", "--param", "rho=" + "9" * 5000]) == EXIT_PARSE
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"error: not an exact rational literal: a numeral of more than {limit} digits\n"
+        )
 
     def test_unwritable_out_exits_three(self, tmp_path, capsys):
         out_path = str(tmp_path / "missing" / "f.json")

@@ -24,6 +24,7 @@ from liefol.families import (
     family_parameter_names,
 )
 from liefol.geometry import (
+    FrameFreeVertical,
     check_conformal_bracket_condition,
     check_product_condition,
     classify,
@@ -215,6 +216,29 @@ class TestVerticalForm:
         direct = second_fundamental_form_vertical(setup)
         via_connection = second_fundamental_form_vertical_via_connection(setup)
         assert direct == via_connection
+
+
+    def test_first_nonzero_with_vertical_out_of_order(self):
+        # The first nonzero pair of classify's sff_V, in sorted (i, j) order, also
+        # when the vertical tuple is shuffled (so some pairs have i > j).
+        rng = random.Random(41)
+        setups = [random_family_setup(rng)[1] for _ in range(10)]
+        setups += [TestConnection.random_raw_setup(rng) for _ in range(30)]
+        shuffled = witnessed = 0
+        for setup in setups:
+            vertical = tuple(rng.sample(setup.vertical, len(setup.vertical)))
+            shuffled += vertical != tuple(sorted(vertical))
+            setup = FoliationSetup(setup.tensor, setup.frame, vertical, setup.horizontal)
+            frame_free = FrameFreeVertical.from_setup(setup)
+            for _ in range(4):
+                eps = tuple(rng.choice((1, -1)) for _ in range(setup.dim))
+                framed = FoliationSetup(setup.tensor, MetricFrame(eps), vertical, setup.horizontal)
+                bv = classify(framed, require_jacobi=False).bv
+                assert bv == second_fundamental_form_vertical_via_connection(framed, require_jacobi=False)
+                expected = next((item for item in sorted(bv.items()) if any(item[1])), None)
+                assert frame_free.first_nonzero(eps) == expected
+                witnessed += expected is not None
+        assert shuffled > len(setups) // 2 and witnessed > len(setups)
 
 
 class TestHorizontalForm:

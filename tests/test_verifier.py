@@ -32,6 +32,7 @@ from liefol.families import (
     nonzero_tg_conditions,
 )
 from liefol.geometry import (
+    FrameFreeVertical,
     classify,
     second_fundamental_form_vertical,
     second_fundamental_form_vertical_via_connection,
@@ -296,6 +297,152 @@ class TestRunSweep:
         ):
             assert key in doc
         assert doc["agreements"] + len(doc["disagreements"]) == doc["totalCases"]
+
+
+def json_dumps_reference(report) -> str:
+    """What SweepReport.to_json must equal byte for byte."""
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def modes(family):
+    dim = family_dimension(family)
+    fixed = ((1,) * dim, (1, -1) + (1,) * (dim - 2), (-1,) * dim)
+    return [
+        {"signature_mode": "all"},
+        {"signature_mode": "riemannian-only"},
+        {"signature_mode": "fixed", "fixed_signatures": fixed},
+    ]
+
+
+class TestReportJson:
+    """to_json writes what json.dumps(..., indent=2) writes, without its pure-Python encoder."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_real_sweeps_in_every_signature_mode(self, family):
+        samples = 1 if family_dimension(family) == 8 else 4
+        for mode in modes(family):
+            report = run_sweep(SweepConfig(family=family, samples=samples, seed=21, **mode))
+            assert report.to_json() == json_dumps_reference(report), mode
+
+    def test_real_sweeps_with_every_entry_kind(self, monkeypatch):
+        # Flipping closed_form_minimal makes every case a disagreement; split
+        # signatures of su2 also record witnessed and unwitnessed conjecture entries.
+        real = verifier.closed_form_minimal
+        monkeypatch.setattr(verifier, "closed_form_minimal", lambda spec: not real(spec))
+        report = run_sweep(SweepConfig(family=FamilyId.SU2, samples=6, seed=5))
+        assert report.disagreements and report.tg_counterexamples
+        assert report.to_json() == json_dumps_reference(report)
+        report = run_sweep(SweepConfig(family=FamilyId.SU2xSO2, samples=2, seed=4))
+        assert report.disagreements
+        assert report.to_json() == json_dumps_reference(report)
+
+    @staticmethod
+    def hand_built(**changes):
+        params = {"b11": "1/2", "c12": "-3", "quote\"back\\slash": "\u00e9\u2202\U0001d49c"}
+        signature = [1, -1, 1, 1, 1]
+        flags = {"conformal": True, "semiRiemannian": False, "minimal": True, "totallyGeodesic": False}
+        fields = dict(
+            config=SweepConfig(
+                family=FamilyId.SU2, samples=3, seed=-7, signature_mode="fixed",
+                fixed_signatures=((1, -1, 1, 1, 1), (1, 1, 1, 1, 1)),
+            ),
+            signatures_per_draw=2,
+            total_cases=6,
+            agreements=5,
+            disagreements=(
+                {"family": "su2", "params": params, "signature": signature,
+                 "geometric": flags, "closedForm": dict(flags, minimal=False)},
+            ),
+            tg_counterexamples=(
+                {"family": "su2", "params": params, "signature": signature,
+                 "violatedCondition": "(eps_C - eps_B) * c12 \"\\\n\t\u00e9",
+                 "witnessPair": ["B", "C"], "witnessValue": ["0", "0", "0", "5/3", "-2/7"],
+                 "compactType": True},
+                # No witness, no violated condition, and blocks equal to the first
+                # entry's but not shared with it.
+                {"family": "su2", "params": dict(params), "signature": list(signature),
+                 "violatedCondition": None, "compactType": False},
+                {},
+                {"family": "su2", "params": {}, "signature": [], "nested": [[1, [True, None]], {"a": {}}]},
+            ),
+            tg_counterexample_count=4,
+            minimality_counterexamples=(
+                {"family": "su2", "params": params, "signature": [1, 1, 1, 1, 1],
+                 "meanCurvature": ["0", "0", "0", "1/3", "-1"]},
+            ),
+            minimality_counterexample_count=1,
+            resampled_draws=0,
+            flag_counts={"conformal": 6, "semiRiemannian": 0, "minimal": 5, "totallyGeodesic": 0},
+        )
+        fields.update(changes)
+        return verifier.SweepReport(**fields)
+
+    def test_hand_built_reports(self):
+        report = self.hand_built()
+        text = report.to_json()
+        assert text == json_dumps_reference(report)
+        # ensure_ascii escaping: non-ASCII characters travel as \u escapes.
+        assert text.isascii() and "\\u00e9" in text and "\\ud835\\udc9c" in text
+        assert '"quote\\"back\\\\slash"' in text
+        empty = self.hand_built(
+            config=SweepConfig(family=FamilyId.SL2RxSO2, samples=1, seed=0),
+            disagreements=(), tg_counterexamples=(), minimality_counterexamples=(), flag_counts={},
+        )
+        assert empty.to_json() == json_dumps_reference(empty)
+        assert '"disagreements": [],' in empty.to_json()
+
+    def test_non_json_values_are_rejected(self):
+        report = self.hand_built(tg_counterexamples=({"value": Fraction(1, 2)},))
+        with pytest.raises(TypeError):
+            report.to_json()
+
+    def test_shared_blocks_are_written_once(self, monkeypatch):
+        config = SweepConfig(family=FamilyId.SU2, samples=6, seed=5)
+        report = run_sweep(config)
+        entries = report.tg_counterexamples + report.minimality_counterexamples
+        # Entries share one params block per draw and one signature block per signature.
+        assert len({id(entry["params"]) for entry in entries}) <= config.samples
+        assert len({id(entry["signature"]) for entry in entries}) <= len(enumerate_signatures(config))
+        written = []
+        real = verifier._json_block
+
+        def recording(value, indent):
+            if indent == " " * 6:
+                written.append(id(value))
+            return real(value, indent)
+
+        monkeypatch.setattr(verifier, "_json_block", recording)
+        assert report.to_json() == json_dumps_reference(report)
+        assert len(written) == len(set(written))
+        for key in ("params", "signature"):
+            assert {id(entry[key]) for entry in entries} <= set(written)
+
+
+def first_nonzero_of(bv):
+    return next((item for item in sorted(bv.items()) if any(item[1])), None)
+
+
+class TestWitnessPick:
+    """FrameFreeVertical.first_nonzero is the first nonzero pair of classify's sff_V."""
+
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_every_signature_of_every_family(self, family):
+        config = SweepConfig(family=family, samples=1 if family_dimension(family) == 8 else 3, seed=31)
+        signatures = enumerate_signatures(config)
+        witnessed = unwitnessed = 0
+        for _, builds in verifier._draw_builds(config):
+            for spec, setup, class_eps in builds:
+                vertical = FrameFreeVertical.from_setup(setup)
+                for eps in signatures:
+                    if eps[-2] * eps[-1] not in class_eps:
+                        continue
+                    hit = FoliationSetup(setup.tensor, MetricFrame(eps), setup.vertical, setup.horizontal)
+                    expected = first_nonzero_of(classify(hit, require_jacobi=False).bv)
+                    assert vertical.first_nonzero(eps) == expected, eps
+                    witnessed += expected is not None
+                    unwitnessed += expected is None
+        assert witnessed + unwitnessed == config.samples * len(signatures)
+        assert witnessed and unwitnessed
 
 
 class TestSweepBuildsOncePerDraw:
