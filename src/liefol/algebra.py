@@ -8,11 +8,13 @@ explicit tolerance.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Fraction
@@ -82,10 +84,16 @@ def as_scalar(value: ScalarLike, *, float_tolerance: Fraction | None = None) -> 
 
 
 def format_scalar(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q" (the canonical exact text form)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational as "p" or "p/q" (the canonical exact text form), of any length."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        # str() refuses integers of more than sys.get_int_max_str_digits()
+        # digits; decimal converts them exactly, without that limit.
+        text = str(decimal.Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{decimal.Decimal(value.denominator)}"
 
 
 def _as_vector(entries: Iterable[ScalarLike], dim: int, what: str) -> tuple[Fraction, ...]:
@@ -97,7 +105,10 @@ def _as_vector(entries: Iterable[ScalarLike], dim: int, what: str) -> tuple[Frac
 
 @dataclass(frozen=True)
 class StructureTensor:
-    """Antisymmetric bracket coefficients c[i][j][k]: [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """Antisymmetric bracket coefficients c[i][j][k]: [e_i, e_j] = sum_k c[i][j][k] e_k.
+
+    Entries must be int or Fraction; int entries are stored as Fractions.
+    """
 
     dim: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -109,6 +120,14 @@ class StructureTensor:
             len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.c
         ):
             raise StructureError("structure table is not dim x dim x dim")
+        # type(), not isinstance: bool is an int subclass and is rejected.
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(self.c))))
+        if kinds - {Fraction}:
+            rejected = sorted(kind.__name__ for kind in kinds - {Fraction, int})
+            if rejected:
+                raise StructureError(f"structure constants must be int or Fraction, got {', '.join(rejected)}")
+            exact = tuple(tuple(tuple(map(Fraction, vec)) for vec in row) for row in self.c)
+            object.__setattr__(self, "c", exact)
         c = self.c
         for i in range(self.dim):
             for j in range(i, self.dim):
@@ -330,15 +349,4 @@ class FoliationSetup:
     @property
     def dim(self) -> int:
         return self.tensor.dim
-
-    @property
-    def x_index(self) -> int:
-        return self.horizontal[0]
-
-    @property
-    def y_index(self) -> int:
-        return self.horizontal[1]
-
-    def eps(self, i: int) -> int:
-        return self.frame.epsilon[i]
 

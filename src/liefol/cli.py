@@ -11,6 +11,9 @@ failed its re-verification; 2 Jacobi failure; 3 parse /
 unknown-family / invalid-argument error, unwritable output path, or a document
 with dim above MAX_DIM or an epsilon list whose length is not dim; 4 family
 constraint violation; 5 the circle-family sampler found no feasible draw.
+
+Output files (`family --out`, `sweep --json`) are written to a temporary file
+next to the path and renamed onto it, so the path never holds a partial file.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .algebra import (
     jacobi_residual,
 )
 from .families import (
+    CIRCLE_FAMILIES,
     FamilyId,
     FamilySpec,
     build_family,
@@ -287,11 +291,8 @@ def cmd_family(args) -> int:
         "theta": {f"theta{i + 1}": format_scalar(t) for i, t in enumerate(theta)},
     }
     text = json.dumps(setup_to_document(setup, meta), indent=2) + "\n"
-    if not args.out:
-        sys.stdout.write(text)
-        return EXIT_OK
     try:
-        with _open_output(args.out) as out:
+        with _output_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
             out.write(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -299,23 +300,29 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _open_output(path: str):
-    """Open an output file for writing; an unwritable path is a ParseError."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, exc.strerror or str(exc)) from None
+@contextlib.contextmanager
+def _output_file(path: str):
+    """A temporary file next to path, renamed onto it if the block succeeds and removed otherwise.
 
-
-def _open_sibling_temporary(path: str):
-    """Create a temporary file next to path, to be renamed onto it; an unusable path is a ParseError."""
+    The file is created on entry, so an unusable path fails before the block
+    runs; that and a failed write or rename are a ParseError.
+    """
     if os.path.isdir(path):
         raise ParseError(path, "is a directory")
     directory, name = os.path.split(os.path.abspath(path))
     try:
-        return open(os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp"), "x", encoding="utf-8")
+        out = open(os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp"), "x", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None
+    try:
+        with out:
+            yield out
+        os.replace(out.name, path)
+    except OSError as exc:
+        raise ParseError(path, exc.strerror or str(exc)) from None
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(out.name)
 
 
 def _signature_config(args, family: FamilyId) -> SweepConfig:
@@ -344,29 +351,16 @@ def cmd_sweep(args) -> int:
     try:
         family = FamilyId.parse(args.family)
         config = _signature_config(args, family)
-        # Created before the run, so a bad path fails before any work is done;
-        # renamed onto the path only once the whole report is written.
-        out = _open_sibling_temporary(args.json) if args.json else None
+        with _output_file(args.json) if args.json else contextlib.nullcontext() as out:
+            report = run_sweep(config)
+            if out:
+                out.write(report.to_json())
     except (ParseError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        report = run_sweep(config)
-        if out:
-            with out:
-                out.write(report.to_json())
-            os.replace(out.name, args.json)
     except SamplingError as exc:
         print(f"sampling error: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
-    except OSError as exc:
-        print(f"error: {args.json}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_PARSE
-    finally:
-        if out:
-            out.close()
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(out.name)
     total = report.total_cases
     print(f"family: {family.value}")
     print(f"samples: {config.samples}")
@@ -382,7 +376,7 @@ def cmd_sweep(args) -> int:
     )
     for key, label in labels:
         print(f"  {label}: {report.flag_counts[key]}/{total}")
-    if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
+    if family in CIRCLE_FAMILIES:
         verdict = "confirmed" if not report.disagreements else "VIOLATED"
         print(f"minimal iff t14 = t24 = 0: {verdict}")
         print(f"resampled draws: {report.resampled_draws}")

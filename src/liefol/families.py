@@ -2,9 +2,11 @@
 
 Each family fixes a basis (A, B, C[, R, S, T | , T], X, Y) with the vertical
 subalgebra spanned by everything except the horizontal pair {X, Y}.  The two
-simple 3-dimensional block types differ in one bracket sign ([B,C] = +-2A) and
-in the sign pattern of the [A, X]-type mixed rows; the theta coefficients of
-[X, Y] are determined by the Jacobi identity and carry a closed form per block.
+simple 3-dimensional block types, su2 and sl2r, differ in one bracket sign,
+[B,C] = 2*sigma*A with sigma = +1 resp. -1 (see _BLOCKS); sigma also fixes the
+sign of the [A, X]-type mixed rows, the theta closed form, the
+totally-geodesic conditions and the [T, X]-type rows of sl2r x so2.  The theta
+coefficients of [X, Y] are determined by the Jacobi identity.
 
 For the families with a central circle factor T, the Jacobi identity imposes
 three relations beyond the conformality constraint (x1 = y2 and
@@ -58,25 +60,30 @@ class FamilyId(str, Enum):
             raise StructureError(f"unknown family {text!r}; known families: {known}") from None
 
 
-# (block types, has circle factor). Block types drive bracket signs and the
-# theta closed form; offsets are 0 and 3.
+# Per family: the sign sigma of each simple block, [B, C] = 2*sigma*A with
+# +1 for su2 and -1 for sl2r, and whether a central circle factor T follows.
+# Block k spans indices 3k..3k+2, then come T and the horizontal pair X, Y.
+# Every other sign and name of a family is derived from this table.
 _BLOCKS = {
-    FamilyId.SU2: (("su2",), False),
-    FamilyId.SL2R: (("sl2r",), False),
-    FamilyId.SU2xSU2: (("su2", "su2"), False),
-    FamilyId.SU2xSL2R: (("su2", "sl2r"), False),
-    FamilyId.SU2xSO2: (("su2",), True),
-    FamilyId.SL2RxSO2: (("sl2r",), True),
+    FamilyId.SU2: ((1,), False),
+    FamilyId.SL2R: ((-1,), False),
+    FamilyId.SU2xSU2: ((1, 1), False),
+    FamilyId.SU2xSL2R: ((1, -1), False),
+    FamilyId.SU2xSO2: ((1,), True),
+    FamilyId.SL2RxSO2: ((-1,), True),
 }
 
 _BASIS_NAMES = {
-    FamilyId.SU2: ("A", "B", "C", "X", "Y"),
-    FamilyId.SL2R: ("A", "B", "C", "X", "Y"),
-    FamilyId.SU2xSU2: ("A", "B", "C", "R", "S", "T", "X", "Y"),
-    FamilyId.SU2xSL2R: ("A", "B", "C", "R", "S", "T", "X", "Y"),
-    FamilyId.SU2xSO2: ("A", "B", "C", "T", "X", "Y"),
-    FamilyId.SL2RxSO2: ("A", "B", "C", "T", "X", "Y"),
+    family: ("A", "B", "C") + ("R", "S", "T") * (len(signs) - 1) + ("T",) * circle + ("X", "Y")
+    for family, (signs, circle) in _BLOCKS.items()
 }
+
+# The families with a central circle factor; the others have a semisimple vertical subalgebra.
+CIRCLE_FAMILIES = frozenset(family for family, (_, circle) in _BLOCKS.items() if circle)
+# The semisimple families whose blocks are all su2: their vertical Killing form is negative definite.
+COMPACT_FAMILIES = frozenset(
+    family for family, (signs, circle) in _BLOCKS.items() if not circle and min(signs) > 0
+)
 
 _BLOCK1_PARAMS = ("b11", "b21", "c11", "c12", "c21", "c22")
 _BLOCK2_PARAMS = ("s14", "s24", "t14", "t15", "t24", "t25")
@@ -136,8 +143,6 @@ class FamilySpec:
         family: FamilyId | str,
         params: Mapping[str, ScalarLike] | None = None,
         signature: MetricFrame | Sequence[int] | None = None,
-        *,
-        float_tolerance: Fraction | None = None,
     ) -> "FamilySpec":
         """Normalize: unknown names rejected, missing names default to zero.
 
@@ -156,7 +161,7 @@ class FamilySpec:
                 f"expected a subset of {expected}"
             )
         values = {
-            name: as_scalar(given[name], float_tolerance=float_tolerance) if name in given else ZERO
+            name: as_scalar(given[name]) if name in given else ZERO
             for name in expected
         }
         if "theta4" in expected and "theta4" not in given:
@@ -164,25 +169,6 @@ class FamilySpec:
             if span:
                 values["theta4"] = values["rho"] * values["t14"] / span
         return cls(fam, values, frame)
-
-    def param(self, name: str) -> Fraction:
-        return self.params[name]
-
-
-def _theta_block_su2(bx, c1x, c2x, by, c1y, c2y, rho) -> tuple[Fraction, Fraction, Fraction]:
-    return (
-        HALF * (-rho * c2x + bx * c1y - by * c1x),
-        HALF * (rho * c1x + bx * c2y - by * c2x),
-        HALF * (-rho * bx + c1x * c2y - c1y * c2x),
-    )
-
-
-def _theta_block_sl2(bx, c1x, c2x, by, c1y, c2y, rho) -> tuple[Fraction, Fraction, Fraction]:
-    return (
-        HALF * (-rho * c2x - bx * c1y + by * c1x),
-        HALF * (-rho * c1x - bx * c2y + by * c2x),
-        HALF * (rho * bx - c1x * c2y + c2x * c1y),
-    )
 
 
 def _block_params(spec: FamilySpec, block_index: int) -> tuple[Fraction, ...]:
@@ -192,14 +178,22 @@ def _block_params(spec: FamilySpec, block_index: int) -> tuple[Fraction, ...]:
 
 
 def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
-    """The [X, Y] vertical coefficients: 3 per simple block, plus theta4 for circle factors."""
-    blocks, has_so2 = _BLOCKS[spec.family]
+    """The [X, Y] vertical coefficients: 3 per simple block, plus theta4 for circle factors.
+
+    For a block of sign sigma (see _BLOCKS):
+    theta_A = (-rho*c2x + sigma*(bx*c1y - by*c1x))/2,
+    theta_B = sigma*(rho*c1x + bx*c2y - by*c2x)/2,
+    theta_C = sigma*(-rho*bx + c1x*c2y - c1y*c2x)/2.
+    """
+    signs, has_so2 = _BLOCKS[spec.family]
     rho = spec.params["rho"]
     theta: list[Fraction] = []
-    for idx, kind in enumerate(blocks):
-        fn = _theta_block_su2 if kind == "su2" else _theta_block_sl2
+    for idx, sigma in enumerate(signs):
         bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
-        theta.extend(fn(bx, c1x, c2x, by, c1y, c2y, rho))
+        half = HALF * sigma
+        theta.append(HALF * (sigma * (bx * c1y - by * c1x) - rho * c2x))
+        theta.append(half * (rho * c1x + bx * c2y - by * c2x))
+        theta.append(half * (c1x * c2y - c1y * c2x - rho * bx))
     if has_so2:
         theta.append(spec.params["theta4"])
     return tuple(theta)
@@ -243,34 +237,20 @@ def _row(dim: int, entries) -> list[Fraction]:
 
 
 def _simple_block_rows(
-    rows: dict, dim: int, kind: str, offset: int, h_index: int, beta, gamma1, gamma2
+    rows: dict, dim: int, sigma: int, offset: int, h_index: int, beta, gamma1, gamma2
 ) -> None:
-    """Mixed rows [A,h], [B,h], [C,h] of one simple block (su2 flips the [A,h] sign)."""
+    """Mixed rows [A,h], [B,h], [C,h] of one simple block; the [A,h] row carries -sigma."""
     a, b, c = offset, offset + 1, offset + 2
-    sign = -1 if kind == "su2" else 1
-    rows[(a, h_index)] = _row(dim, ((b, sign * beta), (c, sign * gamma1)))
+    rows[(a, h_index)] = _row(dim, ((b, -sigma * beta), (c, -sigma * gamma1)))
     rows[(b, h_index)] = _row(dim, ((a, beta), (c, -gamma2)))
     rows[(c, h_index)] = _row(dim, ((a, gamma1), (b, gamma2)))
 
 
-def _base_block_rows(rows: dict, dim: int, kind: str, offset: int) -> None:
+def _base_block_rows(rows: dict, dim: int, sigma: int, offset: int) -> None:
     a, b, c = offset, offset + 1, offset + 2
     rows[(a, b)] = _row(dim, ((c, TWO),))
     rows[(a, c)] = _row(dim, ((b, -TWO),))  # [C, A] = 2B
-    rows[(b, c)] = _row(dim, ((a, TWO if kind == "su2" else -TWO),))
-
-
-def _so2_row_pattern(
-    family: FamilyId, table_variant: str, spec: FamilySpec, u: Fraction, v: Fraction
-) -> tuple[Fraction, Fraction, Fraction]:
-    """A, B, C components of a [T, h] row with horizontal coefficients (u, v)."""
-    p = spec.params
-    pa = -HALF * (u * p["c12"] + v * p["c22"])
-    qb = HALF * (u * p["c11"] + v * p["c21"])
-    rc = -HALF * (u * p["b11"] + v * p["b21"])
-    if family is FamilyId.SL2RxSO2 and table_variant == "tx":
-        qb, rc = -qb, -rc
-    return pa, qb, rc
+    rows[(b, c)] = _row(dim, ((a, sigma * TWO),))
 
 
 def assemble_family_table(
@@ -281,24 +261,26 @@ def assemble_family_table(
 ) -> StructureTensor:
     """Assemble the bracket table without any Jacobi or constraint validation.
 
-    `table_variant` only matters for the sl2r x so2 family, whose two candidate
-    sign patterns for the [T, X] / [T, Y] rows are labelled "tx" (the pattern
-    the Jacobi identity selects) and "ty" (the rejected one); see build_family.
+    `table_variant` labels the two candidate sign patterns of the B and C
+    components of the [T, X] / [T, Y] rows: "tx" scales them by the block
+    sign sigma, the pattern the Jacobi identity selects and the one
+    build_family uses, and "ty" leaves them unscaled.  The two differ only
+    for sl2r x so2, where "ty" is the rejected pattern.
     `theta_override` substitutes arbitrary [X, Y] vertical coefficients in
     place of the closed form (used by the theta-solving oracle).
     """
     if table_variant not in ("tx", "ty"):
         raise StructureError(f"table_variant must be 'tx' or 'ty', got {table_variant!r}")
-    blocks, has_so2 = _BLOCKS[spec.family]
+    signs, has_so2 = _BLOCKS[spec.family]
     dim = family_dimension(spec.family)
     rows: dict = {}
     x_index, y_index = dim - 2, dim - 1
-    for idx, kind in enumerate(blocks):
+    for idx, sigma in enumerate(signs):
         offset = 3 * idx
-        _base_block_rows(rows, dim, kind, offset)
+        _base_block_rows(rows, dim, sigma, offset)
         bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
-        _simple_block_rows(rows, dim, kind, offset, x_index, bx, c1x, c2x)
-        _simple_block_rows(rows, dim, kind, offset, y_index, by, c1y, c2y)
+        _simple_block_rows(rows, dim, sigma, offset, x_index, bx, c1x, c2x)
+        _simple_block_rows(rows, dim, sigma, offset, y_index, by, c1y, c2y)
 
     theta = theta_override if theta_override is not None else closed_form_theta(spec)
     if len(theta) != dim - 2:
@@ -308,11 +290,15 @@ def assemble_family_table(
     if has_so2:
         t_index = 3
         p = spec.params
+        # The B and C components carry sigma in the "tx" pattern only.
+        half = HALF * (signs[0] if table_variant == "tx" else 1)
         for h_index, (u, v, t_diag) in (
             (x_index, (p["x1"], p["y1"], p["t14"])),
             (y_index, (p["x2"], p["y2"], p["t24"])),
         ):
-            pa, qb, rc = _so2_row_pattern(spec.family, table_variant, spec, u, v)
+            pa = -HALF * (u * p["c12"] + v * p["c22"])
+            qb = half * (u * p["c11"] + v * p["c21"])
+            rc = -half * (u * p["b11"] + v * p["b21"])
             rows[(t_index, h_index)] = _row(
                 dim, ((0, pa), (1, qb), (2, rc), (t_index, t_diag), (x_index, u), (y_index, v))
             )
@@ -320,76 +306,53 @@ def assemble_family_table(
     return StructureTensor.from_rows(dim, rows)
 
 
-def _family_setup(spec: FamilySpec, tensor: StructureTensor) -> FoliationSetup:
-    dim = tensor.dim
-    return FoliationSetup(
-        tensor=tensor,
-        frame=spec.signature,
-        vertical=tuple(range(dim - 2)),
-        horizontal=(dim - 2, dim - 1),
-    )
-
-
-def build_family(spec: FamilySpec, *, table_variant: str = "auto") -> FoliationSetup:
+def build_family(spec: FamilySpec) -> FoliationSetup:
     """Build the foliation setup for a family spec; the result satisfies Jacobi.
 
     Circle-factor families are validated against the conformality constraint
     (x1 = y2, eps_X x2 + eps_Y y1 = 0) and the three residual Jacobi relations;
-    violations raise ConstraintError carrying the failed relation.
-
-    For sl2r x so2 the default "auto" adopts whichever printed sign pattern of
-    the [T, .] rows makes the Jacobi residual vanish; pass table_variant "tx"
-    or "ty" to force a candidate (use assemble_family_table to inspect a
-    candidate without validation).
+    violations raise ConstraintError carrying the failed relation.  The table
+    is the "tx" one of assemble_family_table; a Jacobi residual on it raises
+    ConstraintError too, because it would mean the paper's sign pattern is
+    wrong for the spec.
     """
-    if _BLOCKS[spec.family][1]:
+    if spec.family in CIRCLE_FAMILIES:
         failed = so2_failed_relation(spec.params, *spec.signature.epsilon[-2:])
         if failed:
             relation, residual = failed
             raise ConstraintError(
                 relation, f"circle-family relation {relation} fails (residual {residual})"
             )
-    variants = ("tx",)
-    if spec.family is FamilyId.SL2RxSO2:
-        if table_variant == "auto":
-            variants = ("tx", "ty")
-        else:
-            variants = (table_variant,)
-    elif table_variant != "auto":
-        raise StructureError("table_variant is only meaningful for the sl2r x so2 family")
-
-    last_report = None
-    for variant in variants:
-        tensor = assemble_family_table(spec, table_variant=variant)
-        last_report = jacobi_residual(tensor)
-        if last_report.is_zero:
-            return _family_setup(spec, tensor)
-    raise ConstraintError(
-        "jacobi residual = 0",
-        f"assembled table fails the Jacobi identity (max residual {last_report.max_abs} "
-        f"at triple {last_report.worst_triple()}; variants tried: {variants})",
-    )
+    tensor = assemble_family_table(spec)
+    report = jacobi_residual(tensor)
+    if not report.is_zero:
+        raise ConstraintError(
+            "jacobi residual = 0",
+            f"assembled table fails the Jacobi identity (max residual {report.max_abs} "
+            f"at triple {report.worst_triple()})",
+        )
+    dim = tensor.dim
+    return FoliationSetup(tensor, spec.signature, tuple(range(dim - 2)), (dim - 2, dim - 1))
 
 
 def closed_form_minimal(spec: FamilySpec) -> bool:
     """Minimality criterion: unconditional for semisimple verticals, t14 = t24 = 0 otherwise."""
-    _, has_so2 = _BLOCKS[spec.family]
-    if not has_so2:
+    if spec.family not in CIRCLE_FAMILIES:
         return True
     return spec.params["t14"] == 0 and spec.params["t24"] == 0
 
 
 def _tg_block_rows(family: FamilyId) -> tuple[tuple[str, int, int, int, str], ...]:
     """(label, i, s, j, parameter) per block condition (eps_i + s*eps_j) * parameter."""
-    blocks, _ = _BLOCKS[family]
+    signs, _ = _BLOCKS[family]
     names = _BASIS_NAMES[family]
     rows = []
-    for idx, kind in enumerate(blocks):
+    for idx, sigma in enumerate(signs):
         a, b, c = 3 * idx, 3 * idx + 1, 3 * idx + 2
         bx, by, c1x, c2x, c1y, c2y = _BLOCK1_PARAMS if idx == 0 else _BLOCK2_PARAMS
         # su2-type rows pair with differences of causal characters, the sl2r-type
         # [A,.] rows flip to sums; the gamma2 pair keeps the difference either way.
-        s = -1 if kind == "su2" else 1
+        s = -sigma
         for i, sign, j, param in (
             (b, s, a, bx), (b, s, a, by), (c, s, a, c1x), (c, s, a, c1y), (c, -1, b, c2x), (c, -1, b, c2y)
         ):
@@ -419,7 +382,7 @@ def _tg_terms(
     """
     for label, i, s, j, param in _TG_BLOCK_ROWS[family]:
         yield label, (i, s, j), params[param]
-    if _BLOCKS[family][1]:
+    if family in CIRCLE_FAMILIES:
         yield "t14", None, params["t14"]
         yield "t24", None, params["t24"]
         for label, u, lhs, v, rhs in _TG_CIRCLE_ROWS:
@@ -479,7 +442,7 @@ def build_so2_raw_setup(
     x1 = y2, eps_X x2 + eps_Y y1 = 0 is a biconditional.  Classify it with
     require_jacobi=False.
     """
-    if family not in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
+    if family not in CIRCLE_FAMILIES:
         raise StructureError("raw ansatz only exists for the circle-factor families")
     unknown = set(coeffs) - set(_RAW_SO2_COEFFS)
     if unknown:
@@ -490,7 +453,7 @@ def build_so2_raw_setup(
         raise StructureError("circle-factor families are six dimensional")
     dim = 6
     rows: dict = {}
-    _base_block_rows(rows, dim, "su2" if family is FamilyId.SU2xSO2 else "sl2r", 0)
+    _base_block_rows(rows, dim, _BLOCKS[family][0][0], 0)
     for row_idx, prefix in ((0, "a"), (1, "b"), (2, "c")):
         rows[(row_idx, 4)] = _row(dim, [(k, v[f"{prefix}1{k + 1}"]) for k in range(4)])
         rows[(row_idx, 5)] = _row(dim, [(k, v[f"{prefix}2{k + 1}"]) for k in range(4)])

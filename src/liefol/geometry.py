@@ -72,35 +72,28 @@ def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = Tru
 _ZERO_PAIR = (ZERO, ZERO)
 
 
-def _with_negation(value: Fraction) -> tuple[Fraction, Fraction]:
-    """(value, -value); most entries are zero, and negating a zero still builds a Fraction."""
-    return (value, -value) if value else _ZERO_PAIR
-
-
-_ZERO_HALVES = _ZERO_PAIR * 2
-
-
-def _signed_halves(t1: Fraction, t2: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(t1 + t2)/2 and (t1 - t2)/2, each followed by its negation.
-
-    For signs same, outer = +-1, entry 2*(same < 0) + (outer < 0) is
-    outer * (t1 + same*t2)/2.
-    """
+def _halves(t1: Fraction, t2: Fraction) -> tuple[Fraction, Fraction]:
+    """((t1 + t2)/2, (t1 - t2)/2): entry (same < 0) is (t1 + same*t2)/2 for same = +-1."""
     # Most coefficient pairs are zero; skipping their arithmetic makes the
     # forms about three times faster to build.
     if not (t1 or t2):
-        return _ZERO_HALVES
-    return _with_negation((t1 + t2) * HALF) + _with_negation((t1 - t2) * HALF)
+        return _ZERO_PAIR
+    return (t1 + t2) * HALF, (t1 - t2) * HALF
+
+
+def _signed(value: Fraction, negative: bool) -> Fraction:
+    """value, negated when negative; a zero comes back as it is, since negating it builds a Fraction."""
+    return -value if negative and value else value
 
 
 class FrameFreeVertical(NamedTuple):
     """sff_V of a split with the causal characters factored out.
 
     sff_V(e_i, e_j)_h = eps_h eps_j (t1 + eps_i eps_j t2)/2 with t1 = c[h][i][j]
-    and t2 = c[h][j][i], so the halves of t1 and t2 (see _signed_halves) give
-    the form of every metric frame by picking entries, with no arithmetic.
-    Total geodesy depends on the frame only through the products eps_i eps_j
-    of vertical pairs.
+    and t2 = c[h][j][i], so the halves of t1 and t2 (see _halves) give the
+    form of every metric frame: eps_i eps_j picks a half and eps_h eps_j its
+    sign.  Total geodesy depends on the frame only through the products
+    eps_i eps_j of vertical pairs.
 
     A NamedTuple, not a frozen dataclass: it is as immutable and about ten
     times cheaper to define at import, which every fresh process pays.
@@ -109,7 +102,7 @@ class FrameFreeVertical(NamedTuple):
     dim: int
     horizontal: tuple[int, int]
     # Per vertical pair i <= j: (i, j, halves along X, halves along Y).
-    pairs: tuple[tuple[int, int, tuple[Fraction, ...], tuple[Fraction, ...]], ...]
+    pairs: tuple[tuple[int, int, tuple[Fraction, Fraction], tuple[Fraction, Fraction]], ...]
     # The pairs whose half for eps_i = eps_j, resp. eps_i != eps_j, is nonzero along X or Y.
     same_nonzero: tuple[tuple[int, int], ...]
     opposite_nonzero: tuple[tuple[int, int], ...]
@@ -123,19 +116,19 @@ class FrameFreeVertical(NamedTuple):
         for a, i in enumerate(setup.vertical):
             cxi, cyi = cx[i], cy[i]
             for j in setup.vertical[a:]:
-                hx, hy = _signed_halves(cxi[j], cx[j][i]), _signed_halves(cyi[j], cy[j][i])
+                hx, hy = _halves(cxi[j], cx[j][i]), _halves(cyi[j], cy[j][i])
                 pairs.append((i, j, hx, hy))
         # Sorted by (i, j), also when setup.vertical is not, so first_nonzero
         # meets the pairs in the order of sorted(form(eps).items()).
         pairs.sort(key=lambda pair: pair[:2])
         same = tuple((i, j) for i, j, hx, hy in pairs if hx[0] or hy[0])
-        opposite = tuple((i, j) for i, j, hx, hy in pairs if hx[2] or hy[2])
+        opposite = tuple((i, j) for i, j, hx, hy in pairs if hx[1] or hy[1])
         return cls(setup.dim, (x, y), tuple(pairs), same, opposite)
 
     def totally_geodesic(self, eps: tuple[int, ...]) -> bool:
         """Whether sff_V vanishes for causal characters eps.
 
-        eps_i eps_j picks each pair's half, and no outer sign makes it zero.
+        eps_i eps_j picks each pair's half, and no sign makes it zero.
         """
         return not (
             any(eps[i] == eps[j] for i, j in self.same_nonzero)
@@ -148,10 +141,8 @@ class FrameFreeVertical(NamedTuple):
         ex, ey = eps[x], eps[y]
         for i, j, hx, hy in self.pairs:
             ej = eps[j]
-            # Index 2*(same < 0) + (outer < 0) with same = eps_i eps_j and
-            # outer = eps_h eps_j (see _signed_halves).
-            offset = 2 * (eps[i] != ej)
-            yield i, j, hx[offset + (ex != ej)], hy[offset + (ey != ej)]
+            opposite = eps[i] != ej
+            yield i, j, _signed(hx[opposite], ex != ej), _signed(hy[opposite], ey != ej)
 
     def _vector(self, along_x: Fraction, along_y: Fraction) -> tuple[Fraction, ...]:
         vec = [ZERO] * self.dim
@@ -179,8 +170,8 @@ class FrameFreeVertical(NamedTuple):
 class FrameFreeHorizontal(NamedTuple):
     """sff_H, the conformal vector and the mean curvature with the causal characters factored out.
 
-    Like sff_V (see FrameFreeVertical), each entry is a signed half sum of
-    bracket coefficients, picked per frame with no arithmetic:
+    Like sff_V (see FrameFreeVertical), each entry is a bracket coefficient or
+    a half sum of two, and a frame picks it and its sign:
 
     * sff_H(X, X)_k = eps_k eps_X c[k][X][X], sff_H(Y, Y)_k likewise, and
       sff_H(X, Y)_k = eps_k eps_Y (c[k][X][Y] + eps_X eps_Y c[k][Y][X])/2;
@@ -193,11 +184,11 @@ class FrameFreeHorizontal(NamedTuple):
 
     dim: int
     horizontal: tuple[int, int]
-    # Per vertical k: (k, c[k][X][X] and its negation, c[k][Y][Y] and its negation,
-    # halves of c[k][X][Y] and c[k][Y][X], conformal half and its negation).
-    entries: tuple[tuple[int, tuple, tuple, tuple, tuple], ...]
-    # sum_k c[h][k][k] and its negation, for h = X and h = Y.
-    mean_sums: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    # Per vertical k: (k, c[k][X][X], c[k][Y][Y], halves of c[k][X][Y] and
+    # c[k][Y][X], conformal half (c[k][X][X] + c[k][Y][Y])/2).
+    entries: tuple[tuple[int, Fraction, Fraction, tuple[Fraction, Fraction], Fraction], ...]
+    # sum_k c[h][k][k] for h = X and h = Y.
+    mean_sums: tuple[Fraction, Fraction]
     diagonal_equal: bool  # c[k][X][X] = c[k][Y][Y] for every vertical k
     trace_free: bool  # c[k][X][X] + c[k][Y][Y] = 0 for every vertical k
     mixed_zero: tuple[bool, bool]  # sff_H(X, Y) = 0 when eps_X = eps_Y, resp. eps_X != eps_Y
@@ -210,22 +201,21 @@ class FrameFreeHorizontal(NamedTuple):
         for k in setup.vertical:
             ckx, cky = c[k][x], c[k][y]
             xx, yy = ckx[x], cky[y]
-            # sff_H(X, X)_k is the sff_H(X, Y)_k formula at Y = X, so (xx + xx)/2.
-            hxx, hyy = _signed_halves(xx, xx)[:2], _signed_halves(yy, yy)[:2]
-            mixed, half = _signed_halves(ckx[y], cky[x]), _signed_halves(xx, yy)[:2]
-            entries.append((k, hxx, hyy, mixed, half))
-        mean_x = sum((c[x][k][k] for k in setup.vertical), ZERO)
-        mean_y = sum((c[y][k][k] for k in setup.vertical), ZERO)
+            half = (xx + yy) * HALF if xx or yy else ZERO
+            entries.append((k, xx, yy, _halves(ckx[y], cky[x]), half))
         return cls(
             dim=setup.dim,
             horizontal=(x, y),
             entries=tuple(entries),
-            mean_sums=(_with_negation(mean_x), _with_negation(mean_y)),
-            diagonal_equal=all(xx[0] == yy[0] for _, xx, yy, _, _ in entries),
-            trace_free=not any(half[0] for *_, half in entries),
+            mean_sums=(
+                sum((c[x][k][k] for k in setup.vertical), ZERO),
+                sum((c[y][k][k] for k in setup.vertical), ZERO),
+            ),
+            diagonal_equal=all(xx == yy for _, xx, yy, _, _ in entries),
+            trace_free=not any(half for *_, half in entries),
             mixed_zero=(
                 not any(mixed[0] for _, _, _, mixed, _ in entries),
-                not any(mixed[2] for _, _, _, mixed, _ in entries),
+                not any(mixed[1] for _, _, _, mixed, _ in entries),
             ),
         )
 
@@ -233,27 +223,27 @@ class FrameFreeHorizontal(NamedTuple):
         """sff_H of the frame with causal characters eps."""
         x, y = self.horizontal
         ex, ey = eps[x], eps[y]
-        offset = 2 * (ex != ey)  # same = eps_X eps_Y, outer = eps_k eps_Y
+        opposite = ex != ey
         xx, xy, yy = [ZERO] * self.dim, [ZERO] * self.dim, [ZERO] * self.dim
-        for k, hxx, hyy, mixed, _ in self.entries:
+        for k, kxx, kyy, mixed, _ in self.entries:
             ek = eps[k]
-            xx[k] = hxx[ek != ex]
-            yy[k] = hyy[ek != ey]
-            xy[k] = mixed[offset + (ek != ey)]
+            xx[k] = _signed(kxx, ek != ex)
+            yy[k] = _signed(kyy, ek != ey)
+            xy[k] = _signed(mixed[opposite], ek != ey)
         return HorizontalForm(tuple(xx), tuple(xy), tuple(yy))
 
     def flags(self, eps: tuple[int, ...]) -> tuple[bool, bool, bool]:
         """(conformal, semi-Riemannian, minimal) for causal characters eps."""
         x, y = self.horizontal
         conformal = self.diagonal_equal and self.mixed_zero[eps[x] != eps[y]]
-        minimal = not (self.mean_sums[0][0] or self.mean_sums[1][0])
+        minimal = not (self.mean_sums[0] or self.mean_sums[1])
         return conformal, conformal and self.trace_free, minimal
 
     def mean_curvature(self, eps: tuple[int, ...]) -> tuple[Fraction, ...]:
         x, y = self.horizontal
         mean = [ZERO] * self.dim
-        mean[x] = self.mean_sums[0][eps[x] < 0]
-        mean[y] = self.mean_sums[1][eps[y] < 0]
+        mean[x] = _signed(self.mean_sums[0], eps[x] < 0)
+        mean[y] = _signed(self.mean_sums[1], eps[y] < 0)
         return tuple(mean)
 
     def report(
@@ -263,7 +253,7 @@ class FrameFreeHorizontal(NamedTuple):
         x, y = self.horizontal
         conformal_vector = [ZERO] * self.dim
         for k, _, _, _, half in self.entries:
-            conformal_vector[k] = half[eps[k] < 0]
+            conformal_vector[k] = _signed(half, eps[k] < 0)
         return FoliationReport(
             *self.flags(eps),
             totally_geodesic=all(not (vec[x] or vec[y]) for vec in bv.values()),

@@ -26,6 +26,8 @@ from .algebra import (
     killing_form,
 )
 from .families import (
+    CIRCLE_FAMILIES,
+    COMPACT_FAMILIES,
     FamilyId,
     FamilySpec,
     assemble_family_table,
@@ -47,10 +49,6 @@ from .geometry import (
 from .linalg import is_negative_definite, solve_linear_system
 
 ZERO = Fraction(0)
-
-_SO2_FAMILIES = (FamilyId.SU2xSO2, FamilyId.SL2RxSO2)
-_SEMISIMPLE_FAMILIES = (FamilyId.SU2, FamilyId.SL2R, FamilyId.SU2xSU2, FamilyId.SU2xSL2R)
-_COMPACT_FAMILIES = (FamilyId.SU2, FamilyId.SU2xSU2)
 
 # Detailed disagreement/counterexample entries kept per report; totals are exact.
 DETAIL_CAP = 100
@@ -201,10 +199,6 @@ class SweepReport:
     resampled_draws: int
     flag_counts: dict
 
-    @property
-    def disagreement_count(self) -> int:
-        return self.total_cases - self.agreements
-
     def to_json_dict(self) -> dict:
         cfg = {
             "family": self.config.family.value,
@@ -336,7 +330,7 @@ def _draw_builds(config: SweepConfig):
     frames = {s: MetricFrame(eps) for s, eps in class_eps.items()}
     for index in range(config.samples):
         rng = _sample_rng(config.seed, index)
-        if family in _SO2_FAMILIES:
+        if family in CIRCLE_FAMILIES:
             base, x2_by_class, attempts = _draw_so2_params(
                 rng, family, config.parameter_range, tuple(sorted(frames))
             )
@@ -378,7 +372,7 @@ def _class_cases(spec: FamilySpec, setup: FoliationSetup, class_eps: dict) -> di
     params = spec.params
     params_text = {name: format_scalar(value) for name, value in params.items()}
     conditions = tuple(nonzero_tg_conditions(spec.family, params))
-    closed = (params["x1"] == 0 if spec.family in _SO2_FAMILIES else True, closed_form_minimal(spec))
+    closed = (params["x1"] == 0 if spec.family in CIRCLE_FAMILIES else True, closed_form_minimal(spec))
     cases = {}
     for s, eps in class_eps.items():
         conformal, semi, minimal = flags = horizontal.flags(eps)
@@ -397,8 +391,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     family = config.family
     signatures = enumerate_signatures(config)
     names = family_basis_names(family)
-    track_conjectures = family in _SEMISIMPLE_FAMILIES
-    compact_type = family in _COMPACT_FAMILIES
+    track_conjectures = family not in CIRCLE_FAMILIES
+    compact_type = family in COMPACT_FAMILIES
     signature_lists = {eps: list(eps) for eps in signatures}
 
     disagreements: list[dict] = []
@@ -485,7 +479,7 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
     the vertical block, is computed once per draw with a hit.
     """
     family = config.family
-    if family not in _SEMISIMPLE_FAMILIES:
+    if family in CIRCLE_FAMILIES:
         raise StructureError(
             f"{family.value} has a non-semisimple vertical subalgebra; "
             "the conjecture premise requires a semisimple one"
@@ -576,8 +570,8 @@ def oracle_conformal_from_definition(
     V; cross-checks the frame criteria used by classify.
     """
     bh = second_fundamental_form_horizontal(setup)
-    eps_x = setup.eps(setup.x_index)
-    eps_y = setup.eps(setup.y_index)
+    x, y = setup.horizontal
+    eps_x, eps_y = setup.frame.epsilon[x], setup.frame.epsilon[y]
     candidate = tuple(eps_x * v for v in bh.xx)  # g(X,X) V = sff_H(X,X)
     if any(bh.xy):
         return False, None

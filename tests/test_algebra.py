@@ -87,6 +87,15 @@ class TestStructureTensor:
             StructureTensor(3, frozen)
         assert str(info.value) == "antisymmetry violated at c[0][1][2] (= 0, mirror -3)"
 
+    @pytest.mark.parametrize("entry, mirror, kind", [(0.5, -0.5, "float"), (True, -1, "bool")])
+    def test_rejects_float_and_bool_entries(self, entry, mirror, kind):
+        # Antisymmetric, so only the entry types are wrong.
+        c = [[[0] * 2 for _ in range(2)] for _ in range(2)]
+        c[0][1][0], c[1][0][0] = entry, mirror
+        frozen = tuple(tuple(tuple(v) for v in row) for row in c)
+        with pytest.raises(StructureError, match=f"must be int or Fraction, got {kind}"):
+            StructureTensor(2, frozen)
+
     def test_rejects_bad_pairs(self):
         with pytest.raises(StructureError, match="i < j"):
             StructureTensor.from_rows(3, {(1, 0): [0, 0, 1]})

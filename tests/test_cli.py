@@ -164,6 +164,24 @@ class TestCheckCommand:
         assert "jacobi: FAIL" in out
         assert "(B, X, Y)" in out
 
+    def test_jacobi_residual_longer_than_str_allows_is_printed_exactly(self, tmp_path, capsys):
+        # N = 10^3000 - 1: [e0, e1] = N e0 and [e0, e2] = N e2 leave the residual
+        # N^2 e2 at (e0, e1, e2), 6000 digits, more than str() converts.
+        n = "9" * 3000
+        doc = {
+            "dim": 5,
+            "epsilon": [1] * 5,
+            "brackets": [
+                {"i": 0, "j": 1, "coeffs": [n, "0", "0", "0", "0"]},
+                {"i": 0, "j": 2, "coeffs": ["0", "0", n, "0", "0"]},
+            ],
+            "vertical": [0, 1, 2],
+            "horizontal": [3, 4],
+        }
+        assert main(["check", write_doc(tmp_path, doc)]) == EXIT_JACOBI
+        square = "9" * 2999 + "8" + "0" * 2999 + "1"  # 10^6000 - 2*10^3000 + 1
+        assert capsys.readouterr().out == f"jacobi: FAIL (max residual {square} at triple (e0, e1, e2))\n"
+
     def test_circle_family_not_minimal_still_exit_zero(self, tmp_path, capsys):
         setup = build_family(FamilySpec.create("su2xso2", {"t14": 1}))
         path = write_doc(tmp_path, setup_to_document(setup))

@@ -198,10 +198,6 @@ class TestCircleConstraints:
         assert jacobi_residual(tx).is_zero
         assert not jacobi_residual(ty).is_zero
         assert build_family(spec).tensor == tx
-        with pytest.raises(ConstraintError):
-            build_family(spec, table_variant="ty")
-        with pytest.raises(StructureError, match="table_variant"):
-            build_family(FamilySpec.create("su2"), table_variant="ty")
 
 
 class TestSo2ConformalityConstraint:

@@ -16,6 +16,7 @@ from liefol.algebra import (
     jacobi_residual,
 )
 from liefol.families import (
+    _RAW_SO2_COEFFS,
     FamilyId,
     FamilySpec,
     build_family,
@@ -33,6 +34,7 @@ from liefol.geometry import (
     second_fundamental_form_vertical,
     second_fundamental_form_vertical_via_connection,
 )
+from liefol.linalg import solve_linear_system
 
 F = Fraction
 
@@ -437,3 +439,97 @@ class TestFrameCovariance:
         # eps -> -eps keeps eps_X*eps_Y, so the circle-family x2 stays admissible.
         flipped = MetricFrame(tuple(-e for e in spec.signature.epsilon))
         assert verdicts(FamilySpec(spec.family, spec.params, flipped)) == verdicts(spec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=family_members())
+    def test_horizontal_rotation_or_boost_keeps_verdicts(self, spec):
+        assert_horizontal_covariance(build_family(spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from((FamilyId.SU2xSO2, FamilyId.SL2RxSO2)),
+        signature=st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_raw_circle_table_rotation_or_boost(self, family, signature, seed):
+        # The forms only read the bracket table, so they move the same way on
+        # the raw ansatz, where sff_H(X, Y) need not vanish.
+        rng = random.Random(seed)
+        coeffs = {name: F(rng.randint(-4, 4), rng.randint(1, 4)) for name in _RAW_SO2_COEFFS}
+        setup = build_so2_raw_setup(family, tuple(signature), coeffs)
+        assert_horizontal_covariance(setup, require_jacobi=False)
+
+
+def assert_horizontal_covariance(setup: FoliationSetup, *, require_jacobi: bool = True) -> None:
+    """classify before and after a rational rotation or boost of {X, Y} agree as tensors should.
+
+    A rotation keeps {X, Y} orthonormal when eps_X = eps_Y, a boost when
+    eps_X != eps_Y; the split, and so every verdict, stays the same.
+    """
+    x, y = setup.horizontal
+    eps = setup.frame.epsilon
+    if eps[x] == eps[y]:
+        block = ((F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)))
+    else:
+        block = ((F(5, 4), F(3, 4)), (F(3, 4), F(5, 4)))
+    p = [[F(int(a == b)) for b in range(setup.dim)] for a in range(setup.dim)]
+    (p[x][x], p[x][y]), (p[y][x], p[y][y]) = block
+    before = classify(setup, require_jacobi=require_jacobi)
+    after = classify(change_of_basis(setup, p), require_jacobi=require_jacobi)
+    assert report_verdicts(after) == report_verdicts(before)
+    # Horizontal vectors: v = sum_h v_h e_h with e_h = sum_m q[h][m] e'_m.
+    q = inverse(p)
+
+    def moved(vec):
+        return tuple(sum(v * row[m] for v, row in zip(vec, q)) for m in range(setup.dim))
+
+    assert after.mean_curvature == moved(before.mean_curvature)
+    assert after.bv == {pair: moved(vec) for pair, vec in before.bv.items()}
+    # sff_H is bilinear in its horizontal arguments and vertical-valued, and
+    # its g-trace, twice the conformal vector, does not depend on the frame.
+    bh = {(x, x): before.bh.xx, (x, y): before.bh.xy, (y, x): before.bh.xy, (y, y): before.bh.yy}
+
+    def bh_at(a, b):
+        terms = [(p[a][i] * p[b][j], bh[i, j]) for i in (x, y) for j in (x, y)]
+        return tuple(sum(w * vec[k] for w, vec in terms) for k in range(setup.dim))
+
+    assert (after.bh.xx, after.bh.xy, after.bh.yy) == (bh_at(x, x), bh_at(x, y), bh_at(y, y))
+    assert after.conformal_vector == before.conformal_vector
+
+
+def inverse(p):
+    """The exact inverse of the square rational matrix p."""
+    dim = len(p)
+    columns = [solve_linear_system(p, [F(int(r == m)) for r in range(dim)]).particular for m in range(dim)]
+    return [[columns[m][k] for m in range(dim)] for k in range(dim)]
+
+
+def change_of_basis(setup: FoliationSetup, p) -> FoliationSetup:
+    """setup in the basis e'_a = sum_b p[a][b] e_b, which keeps the split and the causal characters.
+
+    [e'_a, e'_b] = sum p[a][i] p[b][j] c[i][j][k] e_k, and e_k = sum_m q[k][m] e'_m
+    with q the inverse of p.
+    """
+    dim, c, eps = setup.dim, setup.tensor.c, setup.frame.epsilon
+    for a in range(dim):
+        for b in range(dim):
+            assert setup.frame.inner(p[a], p[b]) == (eps[a] if a == b else 0), "not orthonormal"
+    rows = [[(i, v) for i, v in enumerate(row) if v] for row in p]
+    q_rows = [[(m, v) for m, v in enumerate(row) if v] for row in inverse(p)]
+    table = []
+    for a in range(dim):
+        table.append([])
+        for b in range(dim):
+            out = [F(0)] * dim
+            for i, pai in rows[a]:
+                for j, pbj in rows[b]:
+                    for k, cijk in enumerate(c[i][j]):
+                        for m, qkm in q_rows[k] if cijk else ():
+                            out[m] += pai * pbj * cijk * qkm
+            table[a].append(tuple(out))
+    tensor = StructureTensor(dim, tuple(map(tuple, table)))
+    return FoliationSetup(tensor, setup.frame, setup.vertical, setup.horizontal)
+
+
+def report_verdicts(report) -> tuple[bool, bool, bool, bool]:
+    return report.conformal, report.semi_riemannian, report.minimal, report.totally_geodesic
