@@ -145,6 +145,8 @@ class StructureTensor:
         This is antisymmetric completion of sparse input, not correction: a
         full table passed to the constructor is still rejected if asymmetric.
         """
+        if dim < 1:
+            raise StructureError(f"dim must be positive, got {dim}")
         table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in rows.items():
             if not (0 <= i < dim and 0 <= j < dim):
@@ -154,8 +156,12 @@ class StructureTensor:
             vec = _as_vector(coeffs, dim, f"bracket [e_{i}, e_{j}]")
             table[i][j] = list(vec)
             table[j][i] = [-v if v else ZERO for v in vec]
-        frozen = tuple(tuple(tuple(v) for v in row) for row in table)
-        return cls(dim, frozen)
+        # The table is dim x dim x dim, all Fraction and antisymmetric by
+        # construction, so the constructor's checks are skipped.
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "dim", dim)
+        object.__setattr__(tensor, "c", tuple(tuple(tuple(v) for v in row) for row in table))
+        return tensor
 
     def bracket(self, u: Sequence[ScalarLike], v: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
         """Bilinear extension: [u, v] = sum_ij u_i v_j [e_i, e_j]."""

@@ -190,8 +190,9 @@ def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
     theta: list[Fraction] = []
     for idx, sigma in enumerate(signs):
         bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
-        half = HALF * sigma
-        theta.append(HALF * (sigma * (bx * c1y - by * c1x) - rho * c2x))
+        cross = bx * c1y - by * c1x
+        half = HALF if sigma > 0 else -HALF
+        theta.append(HALF * ((cross if sigma > 0 else -cross) - rho * c2x))
         theta.append(half * (rho * c1x + bx * c2y - by * c2x))
         theta.append(half * (c1x * c2y - c1y * c2x - rho * bx))
     if has_so2:

@@ -81,11 +81,6 @@ def _halves(t1: Fraction, t2: Fraction) -> tuple[Fraction, Fraction]:
     return (t1 + t2) * HALF, (t1 - t2) * HALF
 
 
-def _signed(value: Fraction, negative: bool) -> Fraction:
-    """value, negated when negative; a zero comes back as it is, since negating it builds a Fraction."""
-    return -value if negative and value else value
-
-
 class FrameFreeVertical(NamedTuple):
     """sff_V of a split with the causal characters factored out.
 
@@ -136,23 +131,24 @@ class FrameFreeVertical(NamedTuple):
         )
 
     def _picks(self, eps: tuple[int, ...]):
-        """(i, j, X and Y components of sff_V(e_i, e_j)) per vertical pair, in sorted (i, j) order."""
-        x, y = self.horizontal
-        ex, ey = eps[x], eps[y]
+        """(i, j, X and Y halves of sff_V(e_i, e_j), unsigned) per vertical pair, in sorted (i, j) order."""
         for i, j, hx, hy in self.pairs:
-            ej = eps[j]
-            opposite = eps[i] != ej
-            yield i, j, _signed(hx[opposite], ex != ej), _signed(hy[opposite], ey != ej)
+            opposite = eps[i] != eps[j]
+            yield i, j, hx[opposite], hy[opposite]
 
-    def _vector(self, along_x: Fraction, along_y: Fraction) -> tuple[Fraction, ...]:
-        vec = [ZERO] * self.dim
+    def _vector(self, eps: tuple[int, ...], j: int, half_x: Fraction, half_y: Fraction) -> tuple[Fraction, ...]:
+        """The sff_V vector of a pair (i, j) with the given halves: eps_h eps_j signs each."""
         x, y = self.horizontal
-        vec[x], vec[y] = along_x, along_y
+        ej = eps[j]
+        vec = [ZERO] * self.dim
+        # Most halves are zero, and negating a zero builds a Fraction.
+        vec[x] = -half_x if eps[x] != ej and half_x else half_x
+        vec[y] = -half_y if eps[y] != ej and half_y else half_y
         return tuple(vec)
 
     def form(self, eps: tuple[int, ...]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
         """sff_V of the frame with causal characters eps."""
-        return {(i, j): self._vector(vx, vy) for i, j, vx, vy in self._picks(eps)}
+        return {(i, j): self._vector(eps, j, hx, hy) for i, j, hx, hy in self._picks(eps)}
 
     def first_nonzero(
         self, eps: tuple[int, ...]
@@ -161,9 +157,9 @@ class FrameFreeVertical(NamedTuple):
 
         Builds only that pair's vector.
         """
-        for i, j, vx, vy in self._picks(eps):
-            if vx or vy:
-                return (i, j), self._vector(vx, vy)
+        for i, j, hx, hy in self._picks(eps):
+            if hx or hy:
+                return (i, j), self._vector(eps, j, hx, hy)
         return None
 
 
@@ -227,9 +223,11 @@ class FrameFreeHorizontal(NamedTuple):
         xx, xy, yy = [ZERO] * self.dim, [ZERO] * self.dim, [ZERO] * self.dim
         for k, kxx, kyy, mixed, _ in self.entries:
             ek = eps[k]
-            xx[k] = _signed(kxx, ek != ex)
-            yy[k] = _signed(kyy, ek != ey)
-            xy[k] = _signed(mixed[opposite], ek != ey)
+            kxy = mixed[opposite]
+            # The signs eps_k eps_X and eps_k eps_Y, on nonzero entries only (see FrameFreeVertical).
+            xx[k] = -kxx if ek != ex and kxx else kxx
+            yy[k] = -kyy if ek != ey and kyy else kyy
+            xy[k] = -kxy if ek != ey and kxy else kxy
         return HorizontalForm(tuple(xx), tuple(xy), tuple(yy))
 
     def flags(self, eps: tuple[int, ...]) -> tuple[bool, bool, bool]:
@@ -242,8 +240,8 @@ class FrameFreeHorizontal(NamedTuple):
     def mean_curvature(self, eps: tuple[int, ...]) -> tuple[Fraction, ...]:
         x, y = self.horizontal
         mean = [ZERO] * self.dim
-        mean[x] = _signed(self.mean_sums[0], eps[x] < 0)
-        mean[y] = _signed(self.mean_sums[1], eps[y] < 0)
+        for h, total in zip((x, y), self.mean_sums):
+            mean[h] = -total if eps[h] < 0 and total else total
         return tuple(mean)
 
     def report(
@@ -253,7 +251,7 @@ class FrameFreeHorizontal(NamedTuple):
         x, y = self.horizontal
         conformal_vector = [ZERO] * self.dim
         for k, _, _, _, half in self.entries:
-            conformal_vector[k] = _signed(half, eps[k] < 0)
+            conformal_vector[k] = -half if eps[k] < 0 and half else half
         return FoliationReport(
             *self.flags(eps),
             totally_geodesic=all(not (vec[x] or vec[y]) for vec in bv.values()),
