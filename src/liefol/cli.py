@@ -8,7 +8,8 @@ so no floating point ever enters the exact pipeline.
 
 Exit codes: 0 ok; 1 sweep found disagreements, or a counterexample hit
 failed its re-verification; 2 Jacobi failure; 3 parse /
-unknown-family / invalid-argument error, unwritable output path, or a document
+unknown-family / invalid-argument error (usage errors too, with one line
+instead of argparse's usage text and code 2), unwritable output path, or a document
 with dim above MAX_DIM or an epsilon list whose length is not dim; 4 family
 constraint violation; 5 the circle-family sampler found no feasible draw.
 
@@ -44,7 +45,6 @@ from .families import (
     build_family,
     closed_form_theta,
     family_basis_names,
-    family_dimension,
 )
 from .geometry import classify
 from .verifier import (
@@ -257,16 +257,23 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return params
 
 
-# One causal character on the command line: ASCII digits only (int() would
-# also take other scripts' digits and underscores).
-_EPSILON_ENTRY = re.compile(r"[+-]?[0-9]+")
+# An integer on the command line, an option value or a causal character: ASCII
+# digits only (int() would also take other scripts' digits and underscores).
+_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_epsilon(text: str, option: str = "--epsilon") -> tuple[int, ...]:
     parts = [part.strip() for part in text.split(",")]
-    if not all(_EPSILON_ENTRY.fullmatch(part) for part in parts):
+    if not all(_ASCII_INTEGER.fullmatch(part) for part in parts):
         raise ParseError(option, f"expected comma-separated +-1 list, got {text!r}")
     return tuple(int(part) for part in parts)
+
+
+def _ascii_int(text: str) -> int:
+    """The argparse type of the integer options."""
+    if not _ASCII_INTEGER.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an ASCII integer, got {text!r}")
+    return int(text)
 
 
 def cmd_family(args) -> int:
@@ -434,8 +441,19 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors print one line and exit with EXIT_PARSE.
+
+    argparse's own exit code, 2, is this CLI's Jacobi failure.  Subparsers are
+    built from the parser's class, so this covers every command.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="liefol",
         description=(
             "Classify left-invariant codimension-two foliations on semi-Riemannian "
@@ -457,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="randomized classification sweep with closed-form cross-check")
     p_sweep.add_argument("family")
-    p_sweep.add_argument("--samples", type=int, default=100)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--range", type=int, default=10, help="bound for rational numerators/denominators")
+    p_sweep.add_argument("--samples", type=_ascii_int, default=100)
+    p_sweep.add_argument("--seed", type=_ascii_int, default=0)
+    p_sweep.add_argument("--range", type=_ascii_int, default=10, help="bound for rational numerators/denominators")
     p_sweep.add_argument(
         "--signatures",
         nargs="*",
@@ -472,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ce = sub.add_parser("counterexample", help="search for conformal, non-totally-geodesic instances")
     p_ce.add_argument("family")
-    p_ce.add_argument("--samples", type=int, default=200)
-    p_ce.add_argument("--seed", type=int, default=0)
-    p_ce.add_argument("--range", type=int, default=10)
+    p_ce.add_argument("--samples", type=_ascii_int, default=200)
+    p_ce.add_argument("--seed", type=_ascii_int, default=0)
+    p_ce.add_argument("--range", type=_ascii_int, default=10)
     p_ce.add_argument(
         "--signatures",
         nargs="*",
@@ -482,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="'all', 'riemannian-only', or one or more comma-separated epsilon lists",
     )
-    p_ce.add_argument("--max-print", type=int, default=5)
+    p_ce.add_argument("--max-print", type=_ascii_int, default=5)
     p_ce.set_defaults(func=cmd_counterexample)
     return parser
 

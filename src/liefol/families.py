@@ -201,9 +201,15 @@ def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
 
 
 def _so2_relation_sides(
-    p: Mapping[str, Fraction], eps_x: int, eps_y: int
-) -> Iterator[tuple[str, Fraction, Fraction]]:
-    """(relation, left side, right side) of each circle-family relation, lazily."""
+    p: Mapping[str, Fraction | int], eps_x: int, eps_y: int
+) -> Iterator[tuple[str, Fraction | int, Fraction | int]]:
+    """(relation, left side, right side) of each circle-family relation, lazily.
+
+    Values may be ints: each relation is homogeneous of degree 1 or 2 in the
+    parameters (theta4 counting as degree 1), so multiplying all of them by one
+    nonzero number, such as a common denominator, keeps each relation true or
+    false.  The circle sampler tests its draws that way.
+    """
     x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
     t14, t24, rho = p["t14"], p["t24"], p["rho"]
     yield "x1 = y2", x1, y2
@@ -215,13 +221,15 @@ def _so2_relation_sides(
 
 
 def so2_failed_relation(
-    params: Mapping[str, Fraction], eps_x: int, eps_y: int
-) -> tuple[str, Fraction] | None:
+    params: Mapping[str, Fraction | int], eps_x: int, eps_y: int
+) -> tuple[str, Fraction | int] | None:
     """The first circle-family relation the parameters violate, as (relation, residual).
 
     Checks the conformality constraint, then the three residual Jacobi
     relations (module docstring), in that order; None when all hold.  A
-    relation is evaluated only if every earlier one holds.
+    relation is evaluated only if every earlier one holds.  Integer values
+    are sound for the verdict (see _so2_relation_sides); the residual is then
+    in their units.
     """
     for relation, lhs, rhs in _so2_relation_sides(params, eps_x, eps_y):
         if lhs != rhs:

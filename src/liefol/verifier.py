@@ -11,6 +11,7 @@ closed formulas it cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,6 +78,12 @@ class SweepConfig:
     fixed_signatures: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        # Exactly int: a bool would run as 0/1 but key its stream as "True:0",
+        # and a float would run the whole sweep and then fail in to_json.
+        for field in ("samples", "seed", "parameter_range"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise StructureError(f"{field} must be an int, got {value!r}")
         if self.samples < 1:
             raise StructureError("samples must be >= 1")
         if self.parameter_range < 1:
@@ -247,48 +254,61 @@ def _sample_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _draw_scalar(rng: random.Random, bound: int) -> Fraction:
-    # p/q with p in [-bound, bound], q in [1, bound]; zeroed with probability
+def _draw_pair(rng: random.Random, bound: int) -> tuple[int, int]:
+    # (p, q) with p in [-bound, bound], q in [1, bound]; (0, 1) with probability
     # 1/4 so degenerate strata of the piecewise-linear predicates get hit.
     if rng.random() < 0.25:
-        return ZERO
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return 0, 1
+    return rng.randint(-bound, bound), rng.randint(1, bound)
+
+
+def _draw_scalar(rng: random.Random, bound: int) -> Fraction:
+    p, q = _draw_pair(rng, bound)
+    return Fraction(p, q) if p else ZERO
 
 
 def _draw_semisimple_params(rng: random.Random, family: FamilyId, bound: int) -> dict:
     return {name: _draw_scalar(rng, bound) for name in family_parameter_names(family)}
 
 
+# The circle sampler's draws, in stream order; theta4 is the free value, used when x1 = 0.
+_SO2_DRAWN = ("b11", "b21", "c11", "c12", "c21", "c22", "rho", "x1", "y1", "t14", "t24", "theta4")
+
+
 def _draw_so2_params(
     rng: random.Random, family: FamilyId, bound: int, classes: Sequence[int]
 ) -> tuple[dict, dict, int]:
     """Rejection-sample the Jacobi-feasible stratum; returns (params, x2 per
-    eps_X*eps_Y class, rejected attempts)."""
-    shared = ("b11", "b21", "c11", "c12", "c21", "c22", "rho")
+    eps_X*eps_Y class, rejected attempts).
+
+    Each attempt is tested on integers: rho, x1, y1, t14 and t24 times the lcm
+    L of their denominators.  Every circle relation is homogeneous (degree 1
+    or 2, with theta4 = rho*t14/(2*x1) of degree 1), so scaling by L > 0 keeps
+    each one true or false; Fractions are built for the accepted draw only.
+    """
     attempts = 0
     while True:
-        base = {name: _draw_scalar(rng, bound) for name in shared}
-        x1 = _draw_scalar(rng, bound)
-        y1 = _draw_scalar(rng, bound)
-        base.update(x1=x1, y1=y1, y2=x1)
-        base["t14"] = _draw_scalar(rng, bound)
-        base["t24"] = _draw_scalar(rng, bound)
-        theta4_free = _draw_scalar(rng, bound)
-        # theta4 = rho*t14/(x1 + y2), free when x1 + y2 = 0 (y2 = x1 here); the
-        # guard skips the Fraction products on the many draws where it is 0.
-        rho, t14 = base["rho"], base["t14"]
-        if not x1:
-            base["theta4"] = theta4_free
-        else:
-            base["theta4"] = rho * t14 / (x1 + x1) if rho and t14 else ZERO
-        x2_by_class = {s: -y1 if s > 0 else y1 for s in classes}  # x2 = -s*y1
-        if all(so2_failed_relation({**base, "x2": x2}, 1, s) is None for s, x2 in x2_by_class.items()):
-            return base, x2_by_class, attempts
+        pairs = [_draw_pair(rng, bound) for _ in _SO2_DRAWN]
+        relation_pairs = pairs[6:11]  # rho, x1, y1, t14, t24
+        scale = math.lcm(*(q for _, q in relation_pairs))
+        rho, x1, y1, t14, t24 = (p * (scale // q) for p, q in relation_pairs)
+        # x1 = y2 and x2 = -s*y1 by construction; theta4 is determined unless
+        # x1 + y2 = 0, and then relation 5 reads rho*t14 = 0 for any theta4.
+        theta4 = Fraction(rho * t14, 2 * x1) if x1 else 0
+        scaled = {"x1": x1, "y1": y1, "y2": x1, "t14": t14, "t24": t24, "rho": rho, "theta4": theta4}
+        if all(so2_failed_relation({**scaled, "x2": -s * y1}, 1, s) is None for s in classes):
+            break
         attempts += 1
         if attempts > SO2_MAX_ATTEMPTS:
             raise SamplingError(
                 f"{family.value}: no feasible circle-family draw in {SO2_MAX_ATTEMPTS} attempts"
             )
+    drawn = {name: Fraction(p, q) if p else ZERO for name, (p, q) in zip(_SO2_DRAWN, pairs)}
+    base = {name: drawn[name] for name in _SO2_DRAWN[:9]}
+    base.update(y2=drawn["x1"], t14=drawn["t14"], t24=drawn["t24"])
+    base["theta4"] = theta4 / scale if x1 else drawn["theta4"]  # back in drawn units
+    y1 = drawn["y1"]
+    return base, {s: -y1 if s > 0 else y1 for s in classes}, attempts
 
 
 def _ordered_params(family: FamilyId, params: dict) -> dict:

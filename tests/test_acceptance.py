@@ -21,9 +21,7 @@ from liefol.families import (
     build_family,
     build_so2_raw_setup,
     closed_form_theta,
-    closed_form_totally_geodesic,
     family_dimension,
-    family_parameter_names,
 )
 from liefol.geometry import (
     classify,

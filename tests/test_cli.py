@@ -514,3 +514,59 @@ class TestCounterexampleCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --max-print")
         assert captured.out == ""
+
+
+def usage_exit(argv) -> int:
+    """The exit code of a command line that argparse itself ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "su2", "--samples", "\u0662"],
+            ["sweep", "su2", "--seed", "1_0"],
+            ["sweep", "su2", "--range", "\u0663"],
+            ["counterexample", "su2", "--samples", "2_0"],
+            ["counterexample", "su2", "--seed", "\u0661"],
+            ["counterexample", "su2", "--range", "1.0"],
+            ["counterexample", "su2", "--max-print", "\u0661"],
+        ],
+    )
+    def test_integer_options_take_ascii_digits_only(self, argv, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("ran on a malformed integer option")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        monkeypatch.setattr("liefol.cli.find_conjecture_counterexamples", no_run)
+        assert usage_exit(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        option = argv[-2]
+        assert captured.err == f"error: argument {option}: expected an ASCII integer, got {argv[-1]!r}\n"
+        assert captured.out == ""
+
+    def test_integer_options_accept_signs(self, capsys):
+        assert main(["sweep", "su2", "--samples", "+2", "--seed", "-3", "--range", " 4"]) == EXIT_OK
+        assert "total cases: 64" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "su2", "--samples", "abc"], "argument --samples: expected an ASCII integer, got 'abc'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["check"], "the following arguments are required: path"),
+        ],
+        ids=["sweep", "bogus", "check"],
+    )
+    def test_usage_errors_exit_three_with_one_line(self, argv, message, capsys):
+        assert usage_exit(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        assert usage_exit(["sweep", "-h"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: liefol sweep")

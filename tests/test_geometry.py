@@ -459,6 +459,53 @@ class TestFrameCovariance:
         setup = build_so2_raw_setup(family, tuple(signature), coeffs)
         assert_horizontal_covariance(setup, require_jacobi=False)
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec=family_members(), scale=st.sampled_from((F(3, 7), F(-2))))
+    def test_scaling_the_table_keeps_verdicts(self, spec, scale):
+        assert_scaling_covariance(build_family(spec), scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from((FamilyId.SU2xSO2, FamilyId.SL2RxSO2)),
+        signature=st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32),
+        scale=st.sampled_from((F(3, 7), F(-2))),
+        conformal=st.booleans(),
+    )
+    def test_raw_circle_table_scaling(self, family, signature, seed, scale, conformal):
+        rng = random.Random(seed)
+        coeffs = {name: F(rng.randint(-4, 4), rng.randint(1, 4)) for name in _RAW_SO2_COEFFS}
+        if conformal:
+            # x1 = y2 and eps_X*x2 + eps_Y*y1 = 0, so the verdicts that need conformality are reached.
+            coeffs.update(y2=coeffs["x1"], x2=-signature[4] * signature[5] * coeffs["y1"])
+        assert_scaling_covariance(build_so2_raw_setup(family, tuple(signature), coeffs), scale)
+
+
+def assert_scaling_covariance(setup: FoliationSetup, scale: Fraction) -> None:
+    """c -> scale*c keeps all four verdicts and multiplies every Jacobi residual entry by scale^2.
+
+    The forms, the mean curvature and the conformal vector are linear in c,
+    and each verdict asks whether some of their entries vanish; the Jacobi
+    residual is quadratic in c.
+    """
+    table = tuple(tuple(tuple(scale * v for v in vec) for vec in row) for row in setup.tensor.c)
+    scaled = FoliationSetup(StructureTensor(setup.dim, table), setup.frame, setup.vertical, setup.horizontal)
+    before, after = classify(setup, require_jacobi=False), classify(scaled, require_jacobi=False)
+    assert report_verdicts(after) == report_verdicts(before)
+
+    def times(vec):
+        return tuple(scale * v for v in vec)
+
+    assert (after.mean_curvature, after.conformal_vector) == (
+        times(before.mean_curvature), times(before.conformal_vector)
+    )
+    assert (after.bh.xx, after.bh.xy, after.bh.yy) == tuple(map(times, (before.bh.xx, before.bh.xy, before.bh.yy)))
+    assert after.bv == {pair: times(vec) for pair, vec in before.bv.items()}
+    residual, scaled_residual = jacobi_residual(setup.tensor), jacobi_residual(scaled.tensor)
+    assert scaled_residual.violations == tuple(
+        (triple, tuple(scale**2 * v for v in vec)) for triple, vec in residual.violations
+    )
+
 
 def assert_horizontal_covariance(setup: FoliationSetup, *, require_jacobi: bool = True) -> None:
     """classify before and after a rational rotation or boost of {X, Y} agree as tensors should.

@@ -1,6 +1,7 @@
 """Theta oracle, sweep harness, counterexample search."""
 
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from liefol.families import (
     family_parameter_names,
     first_violated_condition,
     nonzero_tg_conditions,
+    so2_failed_relation,
 )
 from liefol.geometry import (
     FrameFreeVertical,
@@ -219,6 +221,14 @@ class TestSignatureEnumeration:
             SweepConfig(family=FamilyId.SU2, samples=0, seed=0)
         with pytest.raises(StructureError):
             SweepConfig(family=FamilyId.SU2, samples=1, seed=0, parameter_range=0)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 2.5])
+    @pytest.mark.parametrize("field", ["samples", "seed", "parameter_range"])
+    def test_config_rejects_bool_and_float_fields(self, field, value):
+        # seed=True would key its streams as "True:0", a float seed fails only in to_json.
+        fields = {"samples": 1, "seed": 1, "parameter_range": 10, field: value}
+        with pytest.raises(StructureError, match=f"{field} must be an int, got {value!r}"):
+            SweepConfig(family=FamilyId.SU2, **fields)
 
 
 class TestRunSweep:
@@ -541,6 +551,32 @@ class TestSweepBuildsOncePerDraw:
         assert counts == {"create": 3 * builds_per_draw, "setup": 3 * builds_per_draw}
 
 
+def reference_so2_params(rng, family, bound, classes):
+    """The circle sampler that builds and checks Fractions in every attempt, kept as the reference."""
+
+    def scalar():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    shared = ("b11", "b21", "c11", "c12", "c21", "c22", "rho")
+    attempts = 0
+    while True:
+        base = {name: scalar() for name in shared}
+        x1 = scalar()
+        y1 = scalar()
+        base.update(x1=x1, y1=y1, y2=x1)
+        base["t14"] = scalar()
+        base["t24"] = scalar()
+        theta4_free = scalar()
+        rho, t14 = base["rho"], base["t14"]
+        base["theta4"] = rho * t14 / (x1 + x1) if x1 else theta4_free
+        x2_by_class = {s: -y1 if s > 0 else y1 for s in classes}
+        if all(so2_failed_relation({**base, "x2": x2}, 1, s) is None for s, x2 in x2_by_class.items()):
+            return base, x2_by_class, attempts
+        attempts += 1
+
+
 class TestSo2Sampling:
     def test_draws_satisfy_constraints(self):
         rng = random.Random(9)
@@ -558,6 +594,24 @@ class TestSo2Sampling:
                     (1, 1, 1, 1, 1, s),
                 )
                 build_family(spec)  # must not raise
+
+    @pytest.mark.parametrize("family", [FamilyId.SU2xSO2, FamilyId.SL2RxSO2])
+    def test_matches_the_fraction_sampler(self, family):
+        # 3 bounds x 3 class sets x 112 streams per family, 2016 (seed, index) streams in all.
+        strata = {"x1 = 0": 0, "theta4 determined, nonzero": 0}
+        for bound, classes in itertools.product((1, 5, 10), ((1,), (-1,), (-1, 1))):
+            seed = 100 * bound + len(classes) * classes[0]
+            for index in range(112):
+                rng, reference_rng = _sample_rng(seed, index), _sample_rng(seed, index)
+                base, x2s, attempts = _draw_so2_params(rng, family, bound, classes)
+                expected = reference_so2_params(reference_rng, family, bound, classes)
+                assert (base, x2s, attempts) == expected
+                assert (list(base), list(x2s)) == (list(expected[0]), list(expected[1]))
+                assert all(type(v) is Fraction for v in (*base.values(), *x2s.values()))
+                assert rng.getstate() == reference_rng.getstate()
+                strata["x1 = 0"] += base["x1"] == 0
+                strata["theta4 determined, nonzero"] += base["x1"] != 0 and base["theta4"] != 0
+        assert all(strata.values()), strata
 
     def test_exhausted_sampler_raises_sampling_error(self, monkeypatch):
         monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 3)
