@@ -273,7 +273,12 @@ def _ascii_int(text: str) -> int:
     """The argparse type of the integer options."""
     if not _ASCII_INTEGER.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"expected an ASCII integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise argparse.ArgumentTypeError(
+            f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def cmd_family(args) -> int:

@@ -548,6 +548,11 @@ class TestUsageErrors:
         assert captured.err == f"error: argument {option}: expected an ASCII integer, got {argv[-1]!r}\n"
         assert captured.out == ""
 
+    def test_over_long_integer_option_exits_three_with_one_line(self, capsys):
+        assert usage_exit(["sweep", "su2", "--seed", "9" * 5000]) == EXIT_PARSE
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: argument --seed: an integer of more than {limit} digits\n"
+
     def test_integer_options_accept_signs(self, capsys):
         assert main(["sweep", "su2", "--samples", "+2", "--seed", "-3", "--range", " 4"]) == EXIT_OK
         assert "total cases: 64" in capsys.readouterr().out
