@@ -551,7 +551,7 @@ class TestSweepBuildsOncePerDraw:
         assert counts == {"create": 3 * builds_per_draw, "setup": 3 * builds_per_draw}
 
 
-def reference_so2_params(rng, family, bound, classes):
+def reference_so2_params(rng, bound, classes):
     """The circle sampler that builds and checks Fractions in every attempt, kept as the reference."""
 
     def scalar():
@@ -604,7 +604,7 @@ class TestSo2Sampling:
             for index in range(112):
                 rng, reference_rng = _sample_rng(seed, index), _sample_rng(seed, index)
                 base, x2s, attempts = _draw_so2_params(rng, family, bound, classes)
-                expected = reference_so2_params(reference_rng, family, bound, classes)
+                expected = reference_so2_params(reference_rng, bound, classes)
                 assert (base, x2s, attempts) == expected
                 assert (list(base), list(x2s)) == (list(expected[0]), list(expected[1]))
                 assert all(type(v) is Fraction for v in (*base.values(), *x2s.values()))
