@@ -2,15 +2,15 @@
 
 Everything here is exact rational arithmetic (`fractions.Fraction`).  The
 classification predicates downstream are algebraic identities, so no floats
-enter the core; float input must pass through :func:`as_scalar` with an
-explicit tolerance.
+enter the core: :func:`as_scalar`, the one parser of exact scalars, takes
+Fractions, ints and "p/q" strings and rejects floats and bools.
 """
 
 from __future__ import annotations
 
 import decimal
-import math
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Fraction
-ScalarLike = Union[Fraction, int, str, float]
+ScalarLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 
@@ -42,45 +42,34 @@ class ConstraintError(StructureError):
         self.relation = relation
 
 
-def as_scalar(value: ScalarLike, *, float_tolerance: Fraction | None = None) -> Fraction:
+def as_scalar(value: ScalarLike) -> Fraction:
     """Convert a value to an exact rational.
 
-    Strings must be integer or "p/q" literals.  Floats are rejected unless
-    `float_tolerance` is given, in which case the nearest rational within the
-    tolerance (smallest denominator) is returned.
+    Strings must be integer or "p/q" literals.  Floats, bools and anything
+    else raise StructureError, whose message echoes the value shortened
+    (reprlib), so a huge input gives a short message.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise StructureError(f"not a scalar: {value!r}")
+        raise StructureError(f"not a scalar: {reprlib.repr(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_LITERAL.fullmatch(text):
-            raise StructureError(f"not an exact rational literal: {value!r}")
+            raise StructureError(f"not an exact rational literal: {reprlib.repr(value)}")
         try:
             return Fraction(text)
         except ZeroDivisionError as exc:
-            raise StructureError(f"not an exact rational literal: {value!r}") from exc
+            raise StructureError(f"not an exact rational literal: {reprlib.repr(value)}") from exc
         except ValueError as exc:  # more digits than int() converts
             raise StructureError(
                 f"not an exact rational literal: a numeral of more than {sys.get_int_max_str_digits()} digits"
             ) from exc
     if isinstance(value, float):
-        if float_tolerance is None:
-            raise StructureError(
-                f"float {value!r} rejected: exact pipeline, pass float_tolerance to convert"
-            )
-        tol = Fraction(float_tolerance)
-        if tol <= 0:
-            raise StructureError("float_tolerance must be positive")
-        exact = Fraction(value)
-        approx = exact.limit_denominator(max(1, math.ceil(1 / tol)))
-        if abs(approx - exact) > tol:
-            raise StructureError(f"no rational within {tol} of {value!r}")
-        return approx
-    raise StructureError(f"not a scalar: {value!r}")
+        raise StructureError(f"floating literal {reprlib.repr(value)} not allowed; use an exact 'p/q' string")
+    raise StructureError(f"not a scalar: {reprlib.repr(value)}")
 
 
 def format_scalar(value: Fraction) -> str:
@@ -301,10 +290,6 @@ class MetricFrame:
     @property
     def dim(self) -> int:
         return len(self.epsilon)
-
-    @property
-    def is_riemannian(self) -> bool:
-        return all(e == 1 for e in self.epsilon)
 
     def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         """g(u, v) = sum_a epsilon_a u_a v_a."""

@@ -9,9 +9,10 @@ so no floating point ever enters the exact pipeline.
 Exit codes: 0 ok; 1 sweep found disagreements, or a counterexample hit
 failed its re-verification; 2 Jacobi failure; 3 parse /
 unknown-family / invalid-argument error (usage errors too, with one line
-instead of argparse's usage text and code 2), unwritable output path, or a document
-with dim above MAX_DIM or an epsilon list whose length is not dim; 4 family
-constraint violation; 5 the circle-family sampler found no feasible draw.
+instead of argparse's usage text and code 2), unwritable output path, or a
+document file larger than MAX_DOCUMENT_BYTES, with dim above MAX_DIM or with
+an epsilon list whose length is not dim; 4 family constraint violation; 5 the
+circle-family sampler found no feasible draw.
 
 Output files (`family --out`, `sweep --json`) are written to a temporary file
 next to the path and renamed onto it, so the path never holds a partial file.
@@ -66,6 +67,11 @@ EXIT_SAMPLING = 5
 # entries, and the Jacobi check grows like dim^5.
 MAX_DIM = 64
 
+# Largest accepted document file, in bytes: the whole file is read and parsed
+# before any field is checked, so only a size cap bounds that memory.  16 MiB is
+# about 15x a dense dim-MAX_DIM document with "p/q" literals like "-1/2" (1.1 MB).
+MAX_DOCUMENT_BYTES = 16 * 1024 * 1024
+
 
 class ParseError(ValueError):
     """Document or argument parsing failure; `field` names the offending field."""
@@ -85,16 +91,10 @@ def _require(doc: dict, field: str, kind, what: str):
 
 
 def _parse_coeff(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(where, f"floating literal {value!r} not allowed; use exact 'p/q' strings")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return as_scalar(value)
-        except StructureError as exc:
-            raise ParseError(where, str(exc)) from None
-    raise ParseError(where, f"expected rational string, got {type(value).__name__}")
+    try:
+        return as_scalar(value)
+    except StructureError as exc:
+        raise ParseError(where, str(exc)) from None
 
 
 def document_to_setup(doc: dict) -> tuple[FoliationSetup, dict | None]:
@@ -170,10 +170,15 @@ def setup_to_document(setup: FoliationSetup, meta: dict | None = None) -> dict:
 
 def load_document(path: str) -> tuple[FoliationSetup, dict | None]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise ParseError("file", str(exc)) from None
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ParseError("file", f"larger than {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        # Decoded here: json.loads would also take UTF-16 or UTF-32 bytes.
+        doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError("file", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -181,7 +186,7 @@ def load_document(path: str) -> tuple[FoliationSetup, dict | None]:
     except UnicodeDecodeError:
         raise ParseError("file", "not UTF-8 text") from None
     except ValueError:
-        # Not a JSONDecodeError: json.load converts integers with int(), which
+        # Not a JSONDecodeError: json.loads converts integers with int(), which
         # refuses more than sys.get_int_max_str_digits() digits.
         raise ParseError(
             "file", f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits"

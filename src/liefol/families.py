@@ -263,23 +263,16 @@ def _base_block_rows(rows: dict, dim: int, sigma: int, offset: int) -> None:
 
 
 def assemble_family_table(
-    spec: FamilySpec,
-    *,
-    table_variant: str = "tx",
-    theta_override: Sequence[Fraction] | None = None,
+    spec: FamilySpec, *, theta_override: Sequence[Fraction] | None = None
 ) -> StructureTensor:
     """Assemble the bracket table without any Jacobi or constraint validation.
 
-    `table_variant` labels the two candidate sign patterns of the B and C
-    components of the [T, X] / [T, Y] rows: "tx" scales them by the block
-    sign sigma, the pattern the Jacobi identity selects and the one
-    build_family uses, and "ty" leaves them unscaled.  The two differ only
-    for sl2r x so2, where "ty" is the rejected pattern.
-    `theta_override` substitutes arbitrary [X, Y] vertical coefficients in
-    place of the closed form (used by the theta-solving oracle).
+    The B and C components of the [T, X] / [T, Y] rows are scaled by the block
+    sign sigma, the pattern the Jacobi identity selects (the unscaled one
+    fails it for sl2r x so2).  `theta_override` substitutes arbitrary [X, Y]
+    vertical coefficients in place of the closed form (used by the
+    theta-solving oracle).
     """
-    if table_variant not in ("tx", "ty"):
-        raise StructureError(f"table_variant must be 'tx' or 'ty', got {table_variant!r}")
     signs, has_so2 = _BLOCKS[spec.family]
     dim = family_dimension(spec.family)
     rows: dict = {}
@@ -299,8 +292,7 @@ def assemble_family_table(
     if has_so2:
         t_index = 3
         p = spec.params
-        # The B and C components carry sigma in the "tx" pattern only.
-        half = HALF * (signs[0] if table_variant == "tx" else 1)
+        half = HALF * signs[0]
         for h_index, (u, v, t_diag) in (
             (x_index, (p["x1"], p["y1"], p["t14"])),
             (y_index, (p["x2"], p["y2"], p["t24"])),
@@ -321,9 +313,8 @@ def build_family(spec: FamilySpec) -> FoliationSetup:
     Circle-factor families are validated against the conformality constraint
     (x1 = y2, eps_X x2 + eps_Y y1 = 0) and the three residual Jacobi relations;
     violations raise ConstraintError carrying the failed relation.  The table
-    is the "tx" one of assemble_family_table; a Jacobi residual on it raises
-    ConstraintError too, because it would mean the paper's sign pattern is
-    wrong for the spec.
+    is assemble_family_table's; a Jacobi residual on it raises ConstraintError
+    too, because it would mean the paper's sign pattern is wrong for the spec.
     """
     if spec.family in CIRCLE_FAMILIES:
         failed = so2_failed_relation(spec.params, *spec.signature.epsilon[-2:])

@@ -548,7 +548,7 @@ class ThetaSolution:
         return len(self.free_directions)
 
 
-def oracle_solve_theta(spec: FamilySpec, *, table_variant: str = "tx") -> ThetaSolution:
+def oracle_solve_theta(spec: FamilySpec) -> ThetaSolution:
     """Solve for the [X, Y] vertical coefficients directly from the Jacobi identity.
 
     The residual is affine in theta (theta only enters the [X, Y] row, and the
@@ -562,9 +562,7 @@ def oracle_solve_theta(spec: FamilySpec, *, table_variant: str = "tx") -> ThetaS
     one = Fraction(1)
     probes = [(ZERO,) * m] + [tuple(one if t == pos else ZERO for t in range(m)) for pos in range(m)]
     residuals = [
-        dict(jacobi_residual(
-            assemble_family_table(spec, table_variant=table_variant, theta_override=probe)
-        ).violations)
+        dict(jacobi_residual(assemble_family_table(spec, theta_override=probe)).violations)
         for probe in probes
     ]
     entries = sorted(

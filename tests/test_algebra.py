@@ -53,11 +53,10 @@ class TestScalar:
         with pytest.raises(StructureError):
             as_scalar(bad)
 
-    def test_float_needs_tolerance(self):
-        with pytest.raises(StructureError):
-            as_scalar(0.5)
-        assert as_scalar(0.5, float_tolerance=F(1, 1000)) == F(1, 2)
-        assert abs(as_scalar(0.3333333, float_tolerance=F(1, 10**6)) - F(3333333, 10**7)) <= F(1, 10**6)
+    def test_rejects_floats(self):
+        for value in (0.5, 0.3333333, 2.0):
+            with pytest.raises(StructureError, match="use an exact 'p/q' string"):
+                as_scalar(value)
 
     def test_format_round_trip(self):
         for value in (F(0), F(7), F(-3, 4), F(22, 7)):
@@ -263,7 +262,7 @@ class TestMetricFrame:
     def test_inner_product(self):
         frame = MetricFrame((1, -1, 1))
         assert frame.inner([1, 2, 0], [1, 2, 0]) == F(1) - F(4)
-        assert frame.is_riemannian is False
+        assert frame.epsilon != (1,) * frame.dim
 
 
 class TestFoliationSetup:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefol import verifier
+from liefol import cli, verifier
 from liefol.algebra import FoliationSetup, MetricFrame, StructureTensor
 from liefol.cli import (
     EXIT_CONSTRAINT,
@@ -38,6 +38,16 @@ from liefol.families import (
 )
 
 F = Fraction
+
+
+# A valid dim-3 document: [e0, e1] = e2 on the Riemannian frame.
+DOC3 = {
+    "dim": 3,
+    "epsilon": [1, 1, 1],
+    "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "0", "1"]}],
+    "vertical": [0],
+    "horizontal": [1, 2],
+}
 
 
 def write_doc(tmp_path, doc, name="setup.json"):
@@ -223,10 +233,34 @@ class TestCheckCommand:
         assert capsys.readouterr().err == f"parse error: {message.format(sys.get_int_max_str_digits())}\n"
 
     def test_non_utf8_document_exits_three_with_one_line(self, tmp_path, capsys):
-        path = tmp_path / "latin1.json"
-        path.write_bytes('{"dim": 3, "meta": {"name": "\u00e9"}}'.encode("latin-1"))
-        assert main(["check", str(path)]) == EXIT_PARSE
-        assert capsys.readouterr().err == "parse error: file: not UTF-8 text\n"
+        path = tmp_path / "document.json"
+        # UTF-16 too, which json.loads would decode from bytes: documents are UTF-8 only.
+        for data in ('{"dim": 3, "meta": {"name": "\u00e9"}}'.encode("latin-1"), json.dumps(DOC3).encode("utf-16")):
+            path.write_bytes(data)
+            assert main(["check", str(path)]) == EXIT_PARSE
+            assert capsys.readouterr().err == "parse error: file: not UTF-8 text\n"
+
+    def test_document_over_size_cap_exits_three_with_one_line(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, {**DOC3, "meta": {"padding": "x" * 200}})
+        size = (tmp_path / "setup.json").stat().st_size
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size)
+        assert main(["check", path]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size - 1)
+        assert main(["check", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: file: larger than {size - 1} bytes\n")
+
+    @pytest.mark.parametrize(
+        "coeff", [True, None, [1], [0] * 10**5, 1.5], ids=["true", "null", "list", "long-list", "float"]
+    )
+    def test_non_rational_coefficient_exits_three_with_one_line(self, coeff, tmp_path, capsys):
+        doc = {**DOC3, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "0", coeff]}]}
+        assert main(["check", write_doc(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: brackets[0].coeffs[2]: ") and err.count("\n") == 1
+        assert len(err) < 100
+        assert ("floating" in err) == isinstance(coeff, float)
 
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 3000])
     def test_oversized_document_exits_three_before_building(self, dim, tmp_path, capsys, monkeypatch):

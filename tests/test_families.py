@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liefol.algebra import ConstraintError, StructureError, jacobi_residual
+from liefol.algebra import ConstraintError, StructureError, StructureTensor, jacobi_residual
 from liefol.families import (
     FamilyId,
     FamilySpec,
@@ -25,6 +25,22 @@ from liefol.geometry import classify
 
 F = Fraction
 
+
+def rejected_sl2rxso2_table(spec, *, theta_override=None):
+    """sl2r x so2 with the sign pattern the Jacobi identity rejects, unvalidated.
+
+    assemble_family_table scales the B and C components of the [T, X] and
+    [T, Y] rows by the block sign, -1 for sl2r; this table leaves them
+    unscaled, that is, negates them.
+    """
+    table = assemble_family_table(spec, theta_override=theta_override)
+    dim, t_index = table.dim, 3
+    rows = {(i, j): list(table.c[i][j]) for i in range(dim) for j in range(i + 1, dim)}
+    for h_index in (dim - 2, dim - 1):
+        row = rows[(t_index, h_index)]
+        row[1], row[2] = -row[1], -row[2]
+    return StructureTensor.from_rows(dim, rows)
+
 ALL_FAMILIES = list(FamilyId)
 SEMISIMPLE = [FamilyId.SU2, FamilyId.SL2R, FamilyId.SU2xSU2, FamilyId.SU2xSL2R]
 CIRCLE = [FamilyId.SU2xSO2, FamilyId.SL2RxSO2]
@@ -34,7 +50,7 @@ class TestSpecCreation:
     def test_defaults_to_zero_and_riemannian(self):
         spec = FamilySpec.create("su2")
         assert all(v == 0 for v in spec.params.values())
-        assert spec.signature.is_riemannian
+        assert spec.signature.epsilon == (1,) * family_dimension(FamilyId.SU2)
         assert tuple(spec.params) == family_parameter_names(FamilyId.SU2)
 
     def test_unknown_parameter_rejected(self):
@@ -193,11 +209,10 @@ class TestCircleConstraints:
 
     def test_variant_switch(self):
         spec = FamilySpec.create("sl2rxso2", {"x1": 1, "y2": 1, "c11": 1})
-        tx = assemble_family_table(spec, table_variant="tx")
-        ty = assemble_family_table(spec, table_variant="ty")
-        assert jacobi_residual(tx).is_zero
-        assert not jacobi_residual(ty).is_zero
-        assert build_family(spec).tensor == tx
+        table = assemble_family_table(spec)
+        assert jacobi_residual(table).is_zero
+        assert not jacobi_residual(rejected_sl2rxso2_table(spec)).is_zero
+        assert build_family(spec).tensor == table
 
 
 class TestSo2ConformalityConstraint:

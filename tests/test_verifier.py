@@ -54,6 +54,7 @@ from liefol.verifier import (
     _sample_rng,
     _sweep_draws,
 )
+from test_families import rejected_sl2rxso2_table
 
 F = Fraction
 
@@ -95,8 +96,8 @@ class TestThetaOracle:
 
     def test_sl2rxso2_rejected_variant_infeasible(self):
         spec = FamilySpec.create("sl2rxso2", {"x1": 1, "y2": 1, "c11": 1})
-        assert oracle_solve_theta(spec, table_variant="tx").status != "infeasible"
-        assert oracle_solve_theta(spec, table_variant="ty").status == "infeasible"
+        assert oracle_solve_theta(spec).status != "infeasible"
+        assert dense_theta_solution(spec, rejected_sl2rxso2_table).status == "infeasible"
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_matches_closed_form_on_random_specs(self, family):
@@ -124,8 +125,11 @@ class TestThetaOracle:
                 assert sol.free_directions[0][:3] == (F(0), F(0), F(0))
 
 
-def dense_theta_solution(spec, table_variant="tx"):
-    """Reference for oracle_solve_theta: one equation per component of every triple i < j < k."""
+def dense_theta_solution(spec, build=assemble_family_table):
+    """Reference for oracle_solve_theta: one equation per component of every triple i < j < k.
+
+    `build(spec, theta_override=...)` assembles the tables; the default is the oracle's.
+    """
 
     def flat(tensor):
         lookup = dict(jacobi_residual(tensor).violations)
@@ -139,11 +143,11 @@ def dense_theta_solution(spec, table_variant="tx"):
         return out
 
     m = family_dimension(spec.family) - 2
-    base = flat(assemble_family_table(spec, table_variant=table_variant, theta_override=(F(0),) * m))
+    base = flat(build(spec, theta_override=(F(0),) * m))
     columns = []
     for pos in range(m):
         probe = tuple(F(1) if t == pos else F(0) for t in range(m))
-        probed = flat(assemble_family_table(spec, table_variant=table_variant, theta_override=probe))
+        probed = flat(build(spec, theta_override=probe))
         columns.append([f - b for f, b in zip(probed, base)])
     rows = [[columns[c][r] for c in range(m)] for r in range(len(base))]
     solution = solve_linear_system(rows, [-b for b in base])
@@ -168,29 +172,35 @@ class TestThetaOracleMatchesDenseSystem:
                 spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
             else:
                 spec = FamilySpec.create(family, _draw_semisimple_params(rng, family, 6), sig)
-            variants = ("tx", "ty") if family is FamilyId.SL2RxSO2 else ("tx",)
-            for variant in variants:
-                solution = oracle_solve_theta(spec, table_variant=variant)
-                assert solution == dense_theta_solution(spec, variant)
-                statuses.add(solution.status)
+            solution = oracle_solve_theta(spec)
+            assert solution == dense_theta_solution(spec)
+            statuses.add(solution.status)
         assert "unique" in statuses
 
     @pytest.mark.parametrize(
-        "family, params, variant, status",
+        "family, params, build, status",
         [
             # sl2r x so2 with the rejected [T, .] sign pattern.
-            ("sl2rxso2", {"x1": 1, "y2": 1, "c11": 1}, "ty", "infeasible"),
+            ("sl2rxso2", {"x1": 1, "y2": 1, "c11": 1}, rejected_sl2rxso2_table, "infeasible"),
             # The circle stratum x1 = 0: theta4 is free.
-            ("su2xso2", {"b11": 1, "c22": F(1, 2), "t14": 1}, "tx", "affine"),
-            ("sl2rxso2", {"b21": 2, "c12": F(-1, 3), "rho": 1}, "tx", "affine"),
-            ("su2xso2", {"x2": 1, "y1": -1, "t14": 1}, "tx", "infeasible"),
+            ("su2xso2", {"b11": 1, "c22": F(1, 2), "t14": 1}, assemble_family_table, "affine"),
+            ("sl2rxso2", {"b21": 2, "c12": F(-1, 3), "rho": 1}, assemble_family_table, "affine"),
+            ("su2xso2", {"x2": 1, "y1": -1, "t14": 1}, assemble_family_table, "infeasible"),
+        ],
+        # "ty" marks the rejected pattern's table and "tx" the oracle's.
+        ids=[
+            "sl2rxso2-params0-ty-infeasible",
+            "su2xso2-params1-tx-affine",
+            "sl2rxso2-params2-tx-affine",
+            "su2xso2-params3-tx-infeasible",
         ],
     )
-    def test_named_strata(self, family, params, variant, status):
+    def test_named_strata(self, family, params, build, status):
         spec = FamilySpec.create(family, params)
-        solution = oracle_solve_theta(spec, table_variant=variant)
+        solution = dense_theta_solution(spec, build)
         assert solution.status == status
-        assert solution == dense_theta_solution(spec, variant)
+        if build is assemble_family_table:
+            assert oracle_solve_theta(spec) == solution
 
 
 class TestSignatureEnumeration:
@@ -617,6 +627,60 @@ class TestSo2Sampling:
         monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 3)
         with pytest.raises(SamplingError, match="no feasible circle-family draw in 3 attempts"):
             run_sweep(SweepConfig(family=FamilyId.SL2RxSO2, samples=50, seed=2))
+
+
+def generic_circle_member(rng, family, s, bound=10):
+    """A circle member on the generic stratum, built the way bench/gen.py's stratum 0 is.
+
+    x1, y1 and t14 are nonzero and s*y1^2 + x1^2 != 0, so rho, t24 and the
+    determined theta4 = rho*t14/(2*x1) solve the Jacobi relations and theta4
+    is nonzero.  s = eps_X*eps_Y is the class of the drawn signature.
+    """
+
+    def nonzero():
+        value = F(0)
+        while not value:
+            value = F(rng.randint(-bound, bound), rng.randint(1, bound))
+        return value
+
+    x1, y1, t14 = nonzero(), nonzero(), nonzero()
+    while s * y1 * y1 + x1 * x1 == 0:
+        y1 = nonzero()
+    rho = t14 * (s * y1 * y1 + x1 * x1) / (2 * x1 * y1)
+    params = {
+        name: F(rng.randint(-bound, bound), rng.randint(1, bound)) for name in family_parameter_names(family)
+    }
+    params.update(
+        rho=rho, x1=x1, x2=-s * y1, y1=y1, y2=x1, t14=t14, t24=t14 * x1 / y1 - rho, theta4=rho * t14 / (2 * x1)
+    )
+    eps = tuple(rng.choice((1, -1)) for _ in range(family_dimension(family) - 1))
+    return FamilySpec.create(family, params, (*eps, s * eps[-1]))
+
+
+class TestGenericCircleStratum:
+    """theta4 != 0, which the circle sampler of the sweeps practically never draws."""
+
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("family", [FamilyId.SU2xSO2, FamilyId.SL2RxSO2])
+    def test_determined_theta4(self, family, s):
+        rng = random.Random(f"generic-circle-{family.value}-{s}")
+        for _ in range(12):
+            spec = generic_circle_member(rng, family, s)
+            eps = spec.signature.epsilon
+            assert eps[-2] * eps[-1] == s
+            setup = build_family(spec)
+            closed = closed_form_theta(spec)
+            assert closed[3] != 0
+            solution = oracle_solve_theta(spec)
+            assert solution.status == "unique"
+            assert solution.theta == closed
+            report = classify(setup)
+            assert (report.conformal, report.semi_riemannian, report.minimal, report.totally_geodesic) == (
+                True,
+                spec.params["x1"] == 0,
+                closed_form_minimal(spec),
+                closed_form_totally_geodesic(spec),
+            )
 
 
 class TestCounterexampleSearch:
