@@ -171,14 +171,19 @@ class StructureTensor:
         return tuple(out)
 
     def bracket_with_basis(self, u: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
-        """[u, e_k] for a coefficient vector u (hot path, no revalidation)."""
+        """[u, e_k] for a coefficient vector u (hot path, no revalidation).
+
+        Fraction arithmetic runs only on nonzero terms: a term landing on an
+        entry that is still zero is assigned, not added to ZERO.
+        """
         out = [ZERO] * self.dim
         for m, um in enumerate(u):
             if not um:
                 continue
             for t, cmkt in enumerate(self.c[m][k]):
                 if cmkt:
-                    out[t] += um * cmkt
+                    term = um * cmkt
+                    out[t] = out[t] + term if out[t] else term
         return tuple(out)
 
 
@@ -204,20 +209,23 @@ def jacobi_residual(tensor: StructureTensor) -> JacobiReport:
     """Residual R(i,j,k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Zero on every triple iff the table is a Lie algebra.  Only nonzero triples
-    (i < j < k) are materialized in the report.
+    (i < j < k) are materialized in the report.  Most bracket components are
+    zero, so Fraction arithmetic runs only where both operands are nonzero;
+    a zero entry takes the other operand as it is.
     """
     dim = tensor.dim
     c = tensor.c
+    bracket_with_basis = tensor.bracket_with_basis
     max_abs = ZERO
     violations = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                res = list(tensor.bracket_with_basis(c[i][j], k))
-                for t, val in enumerate(tensor.bracket_with_basis(c[j][k], i)):
-                    res[t] += val
-                for t, val in enumerate(tensor.bracket_with_basis(c[k][i], j)):
-                    res[t] += val
+                res = list(bracket_with_basis(c[i][j], k))
+                for u, e in ((c[j][k], i), (c[k][i], j)):
+                    for t, val in enumerate(bracket_with_basis(u, e)):
+                        if val:
+                            res[t] = res[t] + val if res[t] else val
                 if any(res):
                     violations.append(((i, j, k), tuple(res)))
                     local = max(abs(x) for x in res)
@@ -285,7 +293,7 @@ class MetricFrame:
         if not self.epsilon:
             raise StructureError("metric frame must have positive dimension")
         if any(type(e) is not int or e not in (1, -1) for e in self.epsilon):
-            raise StructureError(f"causal characters must be +1 or -1, got {self.epsilon}")
+            raise StructureError(f"causal characters must be +1 or -1, got {reprlib.repr(self.epsilon)}")
 
     @property
     def dim(self) -> int:
@@ -322,7 +330,7 @@ class FoliationSetup:
         combined = tuple(self.vertical) + tuple(self.horizontal)
         if sorted(combined) != list(range(dim)):
             raise StructureError(
-                f"vertical {self.vertical} + horizontal {self.horizontal} "
+                f"vertical {reprlib.repr(self.vertical)} + horizontal {reprlib.repr(self.horizontal)} "
                 f"must partition 0..{dim - 1}"
             )
         if not self.vertical:

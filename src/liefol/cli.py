@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -105,7 +107,7 @@ def document_to_setup(doc: dict) -> tuple[FoliationSetup, dict | None]:
     if dim < 1:
         raise ParseError("dim", "must be positive")
     if dim > MAX_DIM:
-        raise ParseError("dim", f"must be at most {MAX_DIM}, got {dim}")
+        raise ParseError("dim", f"must be at most {MAX_DIM}, got {reprlib.repr(dim)}")
     epsilon = _require(doc, "epsilon", list, "a list of +-1")
     brackets = _require(doc, "brackets", list, "a list of bracket rows")
     vertical = _require(doc, "vertical", list, "a list of indices")
@@ -114,7 +116,7 @@ def document_to_setup(doc: dict) -> tuple[FoliationSetup, dict | None]:
     for field, values in (("epsilon", epsilon), ("vertical", vertical), ("horizontal", horizontal)):
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(field, f"entries must be integers, got {v!r}")
+                raise ParseError(field, f"entries must be integers, got {reprlib.repr(v)}")
     if len(epsilon) != dim:
         raise ParseError("epsilon", f"expected {dim} entries, got {len(epsilon)}")
 
@@ -127,7 +129,7 @@ def document_to_setup(doc: dict) -> tuple[FoliationSetup, dict | None]:
         j = _require(entry, "j", int, "an integer")
         coeffs = _require(entry, "coeffs", list, "a list of rationals")
         if not (0 <= i < j < dim):
-            raise ParseError(where, f"need 0 <= i < j < dim, got i={i}, j={j}")
+            raise ParseError(where, f"need 0 <= i < j < dim, got i={reprlib.repr(i)}, j={reprlib.repr(j)}")
         if (i, j) in rows:
             raise ParseError(where, f"pair ({i}, {j}) listed more than once")
         if len(coeffs) != dim:
@@ -515,9 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call.
+
+    parse_args keeps nothing between calls: each returns a new namespace, and
+    the extend actions copy their list defaults before adding to them.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

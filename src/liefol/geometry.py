@@ -57,13 +57,17 @@ def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = Tru
             row = []
             for k in range(dim):
                 # Diagonal metric: g([e_k,e_i],e_j) = eps_j c[k][i][j], etc.  Most
-                # coefficients are zero; skip the arithmetic when all three are.
+                # coefficients are zero, so only nonzero terms enter the sum.
                 kij, kji, ijk = c[k][i][j], c[k][j][i], c[i][j][k]
                 if not (kij or kji or ijk):
                     row.append(ZERO)
                     continue
-                val = eps[j] * kij + eps[i] * kji + eps[k] * ijk
-                row.append(HALF * eps[k] * val)
+                val = ZERO
+                for e, t in ((eps[j], kij), (eps[i], kji), (eps[k], ijk)):
+                    if t:
+                        term = t if e > 0 else -t
+                        val = val + term if val else term
+                row.append((val if eps[k] > 0 else -val) * HALF if val else ZERO)
             rows.append(tuple(row))
         gamma.append(tuple(rows))
     return ConnectionCoefficients(dim, tuple(gamma))

@@ -1,6 +1,8 @@
 """Bracket tables, Jacobi residuals, Killing forms."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,15 @@ from liefol.algebra import (
     jacobi_residual,
     killing_form,
 )
-from liefol.families import FamilySpec, assemble_family_table, build_family
+from liefol.families import (
+    FamilyId,
+    FamilySpec,
+    assemble_family_table,
+    build_family,
+    closed_form_theta,
+    family_parameter_names,
+)
+from liefol.geometry import connection_coefficients
 
 F = Fraction
 
@@ -186,6 +196,124 @@ class TestJacobiResidual:
             )
         ]
         assert not any(total)
+
+
+def reference_jacobi(tensor: StructureTensor):
+    """(max_abs, violations, worst triple) from a plain triple loop over the bilinear bracket.
+
+    Independent of `bracket_with_basis` and of the residual's zero skipping:
+    every triple i < j < k is expanded as three nested `bracket` calls on basis
+    vectors.  The worst triple is the first one reaching max_abs.
+    """
+    dim = tensor.dim
+    basis = [[F(int(a == b)) for b in range(dim)] for a in range(dim)]
+    br = tensor.bracket
+    violations = []
+    for i, j, k in combinations(range(dim), 3):
+        ei, ej, ek = basis[i], basis[j], basis[k]
+        total = tuple(
+            p + q + r for p, q, r in zip(br(br(ei, ej), ek), br(br(ej, ek), ei), br(br(ek, ei), ej))
+        )
+        if any(total):
+            violations.append(((i, j, k), total))
+    sizes = [max(abs(x) for x in vec) for _, vec in violations]
+    max_abs = max(sizes, default=F(0))
+    worst = violations[sizes.index(max_abs)][0] if violations else None
+    return max_abs, tuple(violations), worst
+
+
+# Mostly -1, 0 and 1, so that terms cancel, with some small p/q.
+TABLE_ENTRIES = st.one_of(
+    st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 1]), st.fractions(-2, 2, max_denominator=3)
+)
+SMALL_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def cancelling_tables(draw) -> StructureTensor:
+    dim = draw(st.integers(3, 9))
+    pairs = list(combinations(range(dim), 2))
+    filled = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    rows = {pair: draw(st.lists(TABLE_ENTRIES, min_size=dim, max_size=dim)) for pair in filled}
+    return StructureTensor.from_rows(dim, rows)
+
+
+@st.composite
+def perturbed_family_tables(draw) -> StructureTensor:
+    family = draw(st.sampled_from(list(FamilyId)))
+    params = {name: draw(SMALL_FRACTIONS) for name in family_parameter_names(family)}
+    spec = FamilySpec.create(family, params)
+    theta = list(closed_form_theta(spec))
+    for index in draw(st.lists(st.integers(0, len(theta) - 1), max_size=2)):
+        theta[index] += draw(SMALL_FRACTIONS.filter(bool))
+    return assemble_family_table(spec, theta_override=tuple(theta))
+
+
+class TestJacobiMatchesReference:
+    """`jacobi_residual` equals a test-side triple loop built on `StructureTensor.bracket`."""
+
+    @staticmethod
+    def assert_matches_reference(tensor: StructureTensor):
+        report = jacobi_residual(tensor)
+        assert (report.max_abs, report.violations, report.worst_triple()) == reference_jacobi(tensor)
+        assert all(type(x) is Fraction for _, vec in report.violations for x in vec)
+        for k in range(tensor.dim):
+            e_k = [int(t == k) for t in range(tensor.dim)]
+            for i, j in combinations(range(tensor.dim), 2):
+                u = tensor.c[i][j]
+                assert tensor.bracket_with_basis(u, k) == tensor.bracket(u, e_k)
+
+    @given(tensor=cancelling_tables())
+    @settings(max_examples=120, deadline=None)
+    def test_random_tables(self, tensor):
+        self.assert_matches_reference(tensor)
+
+    @given(tensor=perturbed_family_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_family_tables(self, tensor):
+        self.assert_matches_reference(tensor)
+
+
+def zero_operand_table(dim: int, seed: int) -> StructureTensor:
+    """A seeded table of about half-filled rows with entries in {-1, 0, 1, 1/2}."""
+    rng = random.Random(seed)
+    rows = {
+        pair: [rng.choice((-1, 0, 1, F(1, 2))) for _ in range(dim)]
+        for pair in combinations(range(dim), 2)
+        if rng.random() < 0.5
+    }
+    return StructureTensor.from_rows(dim, rows)
+
+
+class TestJacobiArithmetic:
+    def test_no_fraction_addition_has_a_zero_operand(self, monkeypatch):
+        # Guards the cost of the residual and of the Koszul sums, not their
+        # values: adding a zero builds a new Fraction and runs a gcd for nothing.
+        setup = build_family(
+            FamilySpec.create(
+                "su2xsu2", {"b11": 1, "c21": F(1, 2), "s14": -2, "t15": F(3, 5), "rho": 3}, (1, -1, 1, -1, 1, 1, -1, 1)
+            )
+        )
+        failing = zero_operand_table(12, seed=3)
+        additions, zero_additions = [], []
+
+        def recording(add):
+            def wrapped(a, b):
+                additions.append((a, b))
+                if not a or not b:
+                    zero_additions.append((a, b))
+                return add(a, b)
+
+            return wrapped
+
+        monkeypatch.setattr(Fraction, "__add__", recording(Fraction.__add__))
+        monkeypatch.setattr(Fraction, "__radd__", recording(Fraction.__radd__))
+        reports = [jacobi_residual(setup.tensor), jacobi_residual(failing)]
+        connection_coefficients(setup, require_jacobi=False)
+        monkeypatch.undo()
+        assert reports[0].is_zero and not reports[1].is_zero
+        assert additions, "the recording hooks saw no addition"
+        assert zero_additions == []
 
 
 class TestKillingForm:

@@ -1,6 +1,7 @@
 """Document round-trips, exit codes, and command output."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -261,6 +262,26 @@ class TestCheckCommand:
         assert err.startswith("parse error: brackets[0].coeffs[2]: ") and err.count("\n") == 1
         assert len(err) < 100
         assert ("floating" in err) == isinstance(coeff, float)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"epsilon": [[0] * 10**6, 1, 1]},
+            {"epsilon": [10**4000, 1, 1]},
+            {"dim": 10**4000},
+            {"vertical": list(range(10**5))},
+            {"vertical": [10**4000]},
+            {"horizontal": [1, [0] * 10**6]},
+            {"brackets": [{"i": 10**4000, "j": 1, "coeffs": ["0", "0", "0"]}]},
+        ],
+        ids=["epsilon-list", "epsilon-int", "dim", "vertical-long", "vertical-int", "horizontal", "index"],
+    )
+    def test_rejected_entry_is_echoed_shortened(self, fields, tmp_path, capsys):
+        assert main(["check", write_doc(tmp_path, {**DOC3, **fields})]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) <= 300
 
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 3000])
     def test_oversized_document_exits_three_before_building(self, dim, tmp_path, capsys, monkeypatch):
@@ -609,3 +630,30 @@ class TestUsageErrors:
     def test_help_still_exits_zero(self, capsys):
         assert usage_exit(["sweep", "-h"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: liefol sweep")
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return cli.build_parser()
+
+        monkeypatch.setattr(cli, "_parser", functools.cache(counting_build))
+        assert main(["family", "su2"]) == EXIT_OK
+        assert main(["family", "sl2r"]) == EXIT_OK
+        assert len(built) == 1
+
+    def test_consecutive_calls_share_no_parsed_state(self, capsys):
+        assert main(["family", "su2", "--param", "b11=1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["meta"]["parameters"]["b11"] == "1"
+        assert main(["family", "su2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["meta"]["parameters"]["b11"] == "0"
+        assert main(["sweep", "su2", "--samples", "2", "--signatures", "1,-1,1,1,1"]) == EXIT_OK
+        assert "signatures per draw: 1\n" in capsys.readouterr().out
+        assert main(["sweep", "su2", "--samples", "2"]) == EXIT_OK
+        assert "signatures per draw: 32\n" in capsys.readouterr().out
+        # The option defaults are still empty after those calls.
+        args = cli._parser().parse_args(["sweep", "su2"])
+        assert (args.signatures, cli._parser().parse_args(["family", "su2"]).param) == ([], [])
