@@ -18,7 +18,6 @@ from .algebra import (
     StructureTensor,
     as_scalar,
     format_scalar,
-    is_semisimple,
     jacobi_residual,
     killing_form,
 )
@@ -39,8 +38,6 @@ from .families import (
 from .geometry import (
     ConnectionCoefficients,
     FoliationReport,
-    check_conformal_bracket_condition,
-    check_product_condition,
     classify,
     connection_coefficients,
     second_fundamental_form_horizontal,
@@ -80,8 +77,6 @@ __all__ = [
     "as_scalar",
     "build_family",
     "build_so2_raw_setup",
-    "check_conformal_bracket_condition",
-    "check_product_condition",
     "classify",
     "closed_form_minimal",
     "closed_form_theta",
@@ -92,7 +87,6 @@ __all__ = [
     "family_parameter_names",
     "find_conjecture_counterexamples",
     "format_scalar",
-    "is_semisimple",
     "jacobi_residual",
     "killing_form",
     "oracle_conformal_from_definition",

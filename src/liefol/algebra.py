@@ -152,24 +152,6 @@ class StructureTensor:
         object.__setattr__(tensor, "c", tuple(tuple(tuple(v) for v in row) for row in table))
         return tensor
 
-    def bracket(self, u: Sequence[ScalarLike], v: Sequence[ScalarLike]) -> tuple[Fraction, ...]:
-        """Bilinear extension: [u, v] = sum_ij u_i v_j [e_i, e_j]."""
-        uu = _as_vector(u, self.dim, "left bracket argument")
-        vv = _as_vector(v, self.dim, "right bracket argument")
-        out = [ZERO] * self.dim
-        for i, ui in enumerate(uu):
-            if not ui:
-                continue
-            rows_i = self.c[i]
-            for j, vj in enumerate(vv):
-                if not vj:
-                    continue
-                coeff = ui * vj
-                for k, cijk in enumerate(rows_i[j]):
-                    if cijk:
-                        out[k] += coeff * cijk
-        return tuple(out)
-
     def bracket_with_basis(self, u: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
         """[u, e_k] for a coefficient vector u (hot path, no revalidation).
 
@@ -276,13 +258,6 @@ def killing_form(tensor: StructureTensor, indices: Sequence[int]) -> tuple[tuple
     return tuple(matrix)
 
 
-def is_semisimple(tensor: StructureTensor, indices: Sequence[int]) -> bool:
-    """True iff the Killing form of the subalgebra is nondegenerate (exact determinant)."""
-    from .linalg import determinant
-
-    return determinant(killing_form(tensor, indices)) != 0
-
-
 @dataclass(frozen=True)
 class MetricFrame:
     """Orthonormal frame of a nondegenerate diagonal metric; epsilon[i] = g(e_i, e_i) = +-1."""
@@ -298,14 +273,6 @@ class MetricFrame:
     @property
     def dim(self) -> int:
         return len(self.epsilon)
-
-    def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        """g(u, v) = sum_a epsilon_a u_a v_a."""
-        total = ZERO
-        for ea, ua, va in zip(self.epsilon, u, v):
-            if ua and va:
-                total += ea * ua * va
-        return total
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,7 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     params: dict[str, str] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ParseError("--param", f"expected name=value, got {pair!r}")
+            raise ParseError("--param", f"expected name=value, got {reprlib.repr(pair)}")
         name, value = pair.split("=", 1)
         params[name.strip()] = value.strip()
     return params
@@ -269,23 +269,23 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
 _ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_epsilon(text: str, option: str = "--epsilon") -> tuple[int, ...]:
-    parts = [part.strip() for part in text.split(",")]
-    if not all(_ASCII_INTEGER.fullmatch(part) for part in parts):
-        raise ParseError(option, f"expected comma-separated +-1 list, got {text!r}")
-    return tuple(int(part) for part in parts)
-
-
 def _ascii_int(text: str) -> int:
-    """The argparse type of the integer options."""
+    """The argparse type of the integer options, and the parser of each causal character."""
     if not _ASCII_INTEGER.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"expected an ASCII integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an ASCII integer, got {reprlib.repr(text)}")
     try:
         return int(text)
     except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
         raise argparse.ArgumentTypeError(
             f"an integer of more than {sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+def _parse_epsilon(text: str, option: str = "--epsilon") -> tuple[int, ...]:
+    try:
+        return tuple(_ascii_int(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise ParseError(option, f"expected comma-separated +-1 list, got {reprlib.repr(text)}") from None
 
 
 def cmd_family(args) -> int:
@@ -461,7 +461,10 @@ class _ArgumentParser(argparse.ArgumentParser):
     """
 
     def error(self, message: str):
-        self.exit(EXIT_PARSE, f"error: {message}\n")
+        # argparse echoes rejected values in full (an invalid choice, unrecognized
+        # arguments), newlines included; the message is cut to one short line.
+        message = " ".join(message.split())
+        self.exit(EXIT_PARSE, f"error: {message if len(message) <= 200 else message[:197] + '...'}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

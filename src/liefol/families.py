@@ -22,6 +22,7 @@ theta4 is determined when x1 + y2 != 0 and free otherwise.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,7 +58,7 @@ class FamilyId(str, Enum):
             return cls(text.lower())
         except ValueError:
             known = ", ".join(f.value for f in cls)
-            raise StructureError(f"unknown family {text!r}; known families: {known}") from None
+            raise StructureError(f"unknown family {reprlib.repr(text)}; known families: {known}") from None
 
 
 # Per family: the sign sigma of each simple block, [B, C] = 2*sigma*A with
@@ -157,7 +158,7 @@ class FamilySpec:
         unknown = set(given) - set(expected)
         if unknown:
             raise StructureError(
-                f"unknown parameter(s) {sorted(unknown)} for family {fam.value}; "
+                f"unknown parameter(s) {reprlib.repr(sorted(unknown))} for family {fam.value}; "
                 f"expected a subset of {expected}"
             )
         values = {

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import FoliationSetup, JacobiError, StructureError, jacobi_residual
+from .algebra import FoliationSetup, JacobiError, jacobi_residual
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -342,53 +342,3 @@ def classify(setup: FoliationSetup, *, require_jacobi: bool = True) -> Foliation
         _require_lie_algebra(setup)
     eps = setup.frame.epsilon
     return FrameFreeHorizontal.from_setup(setup).report(eps, second_fundamental_form_vertical(setup))
-
-
-def check_conformal_bracket_condition(setup: FoliationSetup) -> bool:
-    """Horizontal projection of [[V, V], H] vanishes for all basis choices.
-
-    Necessary for conformality of the foliation; with a semisimple vertical
-    subalgebra it upgrades conformal to semi-Riemannian.
-    """
-    c = setup.tensor.c
-    hset = setup.horizontal
-    for a, i in enumerate(setup.vertical):
-        for j in setup.vertical[a + 1 :]:
-            row = c[i][j]
-            for h in hset:
-                image = setup.tensor.bracket_with_basis(row, h)
-                if any(image[k] for k in hset):
-                    return False
-    return True
-
-
-def check_product_condition(setup: FoliationSetup, blocks: list[tuple[int, ...]]) -> bool:
-    """For a vertical splitting into ideals, [block_k, H] never leaks into block_j (j != k).
-
-    Raises StructureError if the blocks do not partition the vertical set or a
-    block is not an ideal of the vertical subalgebra.
-    """
-    flat = [i for block in blocks for i in block]
-    if sorted(flat) != sorted(setup.vertical):
-        raise StructureError(f"blocks {blocks} do not partition the vertical set {setup.vertical}")
-    c = setup.tensor.c
-    for block in blocks:
-        inside = set(block)
-        for b in block:
-            for v in setup.vertical:
-                for k, coeff in enumerate(c[b][v]):
-                    if coeff and k not in inside:
-                        raise StructureError(
-                            f"block {block} is not an ideal of the vertical subalgebra: "
-                            f"[e_{b}, e_{v}] has e_{k} component"
-                        )
-    for bk, block_k in enumerate(blocks):
-        others = [i for bj, blk in enumerate(blocks) if bj != bk for i in blk]
-        if not others:
-            continue
-        for e in block_k:
-            for h in setup.horizontal:
-                row = c[e][h]
-                if any(row[j] for j in others):
-                    return False
-    return True

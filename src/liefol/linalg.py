@@ -53,10 +53,6 @@ class LinearSolution:
     particular: tuple[Fraction, ...] | None
     nullspace: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.nullspace)
-
 
 def solve_linear_system(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
@@ -100,7 +101,7 @@ class SweepConfig:
                 MetricFrame(tuple(sig))
                 if len(sig) != dim:
                     raise StructureError(
-                        f"fixed signature {sig} has length {len(sig)}, family needs {dim}"
+                        f"fixed signature {reprlib.repr(sig)} has length {len(sig)}, family needs {dim}"
                     )
         elif self.fixed_signatures:
             raise StructureError("fixed_signatures only allowed with signature_mode='fixed'")

@@ -632,6 +632,55 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: liefol sweep")
 
 
+def exit_code(argv) -> int:
+    """The exit code of a command line, whether main returns it or argparse ends the run."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+HUGE_NAME = "x" * 100_000
+
+
+class TestArgvEcho:
+    @pytest.mark.parametrize("command", ["family", "sweep", "counterexample"])
+    def test_causal_character_longer_than_int_conversion_allows(self, command, capsys):
+        # int() refuses numerals of more than sys.get_int_max_str_digits() digits (4300 by default).
+        value = "1" * (sys.get_int_max_str_digits() + 1) + ",1,1,1,1"
+        option = "--epsilon" if command == "family" else "--signatures"
+        assert exit_code([command, "su2", option, value]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "su2", "--epsilon", "1,-1,1,1," + "x" * 120_000],
+            ["family", HUGE_NAME],
+            ["sweep", HUGE_NAME],
+            ["family", "su2", "--param", HUGE_NAME],
+            ["family", "su2", "--param", HUGE_NAME + "=1"],
+            ["sweep", "su2", "--samples", "9" + HUGE_NAME],
+            [HUGE_NAME],
+            ["sweep", "su2", "--signatures", ",".join(["1"] * 60_001)],
+            ["family", "su2", "--param", "b11=" + HUGE_NAME],
+            ["check", "setup.json", "extra\nlines\n" * 3],
+        ],
+        ids=[
+            "epsilon", "family-name", "sweep-family-name", "param-without-equals", "unknown-param",
+            "integer-option", "unknown-command", "signature-length", "param-value", "unrecognized-with-newlines",
+        ],
+    )
+    def test_rejected_value_is_echoed_shortened(self, argv, capsys):
+        assert exit_code(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) <= 300
+        assert captured.out == ""
+
+
 class TestParserReuse:
     def test_main_builds_the_parser_once(self, capsys, monkeypatch):
         built = []

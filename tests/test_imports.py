@@ -1,4 +1,4 @@
-"""Every imported name is used: the project's lint, run with the tests."""
+"""Every imported name is used in every Python file of the repo: the project's lint, run with the tests."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    [*ROOT.joinpath("src", "liefol").glob("*.py"), *ROOT.joinpath("tests").glob("*.py")]
+    [
+        *ROOT.joinpath("src", "liefol").glob("*.py"),
+        *ROOT.joinpath("tests").glob("*.py"),
+        *ROOT.joinpath("bench").glob("*.py"),
+    ]
 )
 
 
