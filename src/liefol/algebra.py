@@ -30,16 +30,24 @@ class StructureError(ValueError):
     """Invalid algebraic input: bad shapes, antisymmetry or partition violations."""
 
 
-class JacobiError(ValueError):
-    """An operation required a Lie algebra but the table fails the Jacobi identity."""
-
-
 class ConstraintError(StructureError):
     """A family constraint is violated; `relation` names the failed relation."""
 
-    def __init__(self, relation: str, message: str | None = None):
-        super().__init__(message or f"constraint violated: {relation}")
+    def __init__(self, relation: str, message: str):
+        super().__init__(message)
         self.relation = relation
+
+
+class JacobiError(ConstraintError):
+    """The table fails the Jacobi identity; `report` holds the residual, the message its max shortened."""
+
+    def __init__(self, report: JacobiReport):
+        super().__init__(
+            "jacobi residual = 0",
+            f"bracket table is not a Lie algebra: max Jacobi residual "
+            f"{reprlib.repr(format_scalar(report.max_abs))} at triple {report.worst_triple()}",
+        )
+        self.report = report
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -152,22 +160,6 @@ class StructureTensor:
         object.__setattr__(tensor, "c", tuple(tuple(tuple(v) for v in row) for row in table))
         return tensor
 
-    def bracket_with_basis(self, u: Sequence[Fraction], k: int) -> tuple[Fraction, ...]:
-        """[u, e_k] for a coefficient vector u (hot path, no revalidation).
-
-        Fraction arithmetic runs only on nonzero terms: a term landing on an
-        entry that is still zero is assigned, not added to ZERO.
-        """
-        out = [ZERO] * self.dim
-        for m, um in enumerate(u):
-            if not um:
-                continue
-            for t, cmkt in enumerate(self.c[m][k]):
-                if cmkt:
-                    term = um * cmkt
-                    out[t] = out[t] + term if out[t] else term
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class JacobiReport:
@@ -191,29 +183,40 @@ def jacobi_residual(tensor: StructureTensor) -> JacobiReport:
     """Residual R(i,j,k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Zero on every triple iff the table is a Lie algebra.  Only nonzero triples
-    (i < j < k) are materialized in the report.  Most bracket components are
-    zero, so Fraction arithmetic runs only where both operands are nonzero;
-    a zero entry takes the other operand as it is.
+    (i < j < k) are materialized in the report.  Each cyclic term is a bracket
+    [u, e_e] = sum_m u_m [e_m, e_e] of a bracket row u with a basis vector; its
+    products u_m c[m][e][t] go straight into the residual.  Most bracket
+    components are zero, so Fraction arithmetic runs only where both operands
+    are nonzero, and a zero entry takes the other operand as it is.
     """
     dim = tensor.dim
     c = tensor.c
-    bracket_with_basis = tensor.bracket_with_basis
     max_abs = ZERO
     violations = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                res = list(bracket_with_basis(c[i][j], k))
-                for u, e in ((c[j][k], i), (c[k][i], j)):
-                    for t, val in enumerate(bracket_with_basis(u, e)):
-                        if val:
-                            res[t] = res[t] + val if res[t] else val
+                res = [ZERO] * dim
+                for u, e in ((c[i][j], k), (c[j][k], i), (c[k][i], j)):
+                    for m, um in enumerate(u):
+                        if um:
+                            for t, cmet in enumerate(c[m][e]):
+                                if cmet:
+                                    term = um * cmet
+                                    res[t] = res[t] + term if res[t] else term
                 if any(res):
                     violations.append(((i, j, k), tuple(res)))
                     local = max(abs(x) for x in res)
                     if local > max_abs:
                         max_abs = local
     return JacobiReport(dim, max_abs, tuple(violations))
+
+
+def require_lie_algebra(tensor: StructureTensor) -> None:
+    """The Jacobi gate: raise JacobiError unless the table is a Lie algebra."""
+    report = jacobi_residual(tensor)
+    if not report.is_zero:
+        raise JacobiError(report)
 
 
 def _check_subalgebra(tensor: StructureTensor, indices: Sequence[int]) -> tuple[int, ...]:

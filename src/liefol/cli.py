@@ -34,12 +34,12 @@ from typing import Sequence
 from .algebra import (
     ConstraintError,
     FoliationSetup,
+    JacobiError,
     MetricFrame,
     StructureError,
     StructureTensor,
     as_scalar,
     format_scalar,
-    jacobi_residual,
 )
 from .families import (
     CIRCLE_FAMILIES,
@@ -232,16 +232,16 @@ def cmd_check(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     names = _basis_names(setup, meta)
-    report = jacobi_residual(setup.tensor)
-    if not report.is_zero:
-        i, j, k = report.worst_triple()
+    try:
+        result = classify(setup)
+    except JacobiError as exc:
+        i, j, k = exc.report.worst_triple()
         print(
-            f"jacobi: FAIL (max residual {format_scalar(report.max_abs)} "
+            f"jacobi: FAIL (max residual {format_scalar(exc.report.max_abs)} "
             f"at triple ({names[i]}, {names[j]}, {names[k]}))"
         )
         return EXIT_JACOBI
     print("jacobi: ok")
-    result = classify(setup, require_jacobi=False)
     print(f"conformal: {_yesno(result.conformal)}")
     print(f"semi-riemannian: {_yesno(result.semi_riemannian)}")
     print(f"minimal: {_yesno(result.minimal)}")
@@ -292,7 +292,7 @@ def cmd_family(args) -> int:
     try:
         family = FamilyId.parse(args.family)
         params = _parse_params(args.param or [])
-        signature = _parse_epsilon(args.epsilon) if args.epsilon else None
+        signature = None if args.epsilon is None else _parse_epsilon(args.epsilon)
         spec = FamilySpec.create(family, params, signature)
     except (ParseError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import FoliationSetup, JacobiError, jacobi_residual
+from .algebra import FoliationSetup, require_lie_algebra
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -34,19 +34,10 @@ class ConnectionCoefficients:
     gamma: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-def _require_lie_algebra(setup: FoliationSetup) -> None:
-    report = jacobi_residual(setup.tensor)
-    if not report.is_zero:
-        raise JacobiError(
-            f"bracket table is not a Lie algebra: max Jacobi residual "
-            f"{report.max_abs} at triple {report.worst_triple()}"
-        )
-
-
 def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = True) -> ConnectionCoefficients:
     """Levi-Civita connection of the left-invariant metric, from the Koszul formula."""
     if require_jacobi:
-        _require_lie_algebra(setup)
+        require_lie_algebra(setup.tensor)
     dim = setup.dim
     c = setup.tensor.c
     eps = setup.frame.epsilon
@@ -339,6 +330,6 @@ def classify(setup: FoliationSetup, *, require_jacobi: bool = True) -> Foliation
     bracket table).
     """
     if require_jacobi:
-        _require_lie_algebra(setup)
+        require_lie_algebra(setup.tensor)
     eps = setup.frame.epsilon
     return FrameFreeHorizontal.from_setup(setup).report(eps, second_fundamental_form_vertical(setup))

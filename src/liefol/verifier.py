@@ -336,12 +336,17 @@ def _witness_entry(
     return entry
 
 
-def _draw_builds(config: SweepConfig):
-    """Yield (rejected circle draws, builds) per draw, a build being (spec, setup, class_eps).
+def _draw_cases(config: SweepConfig):
+    """Yield (rejected circle draws, builds) per draw, a build being (setup, cases).
 
     Each draw is built and validated once (once per eps_X*eps_Y class for the
-    circle families, whose x2 depends on it); class_eps maps the classes a
-    build serves to their first signatures.
+    circle families, whose x2 depends on it); cases maps each class the build
+    serves to the case its signatures share.  A case is (params, formatted
+    params, horizontal forms, vertical forms, geometric (conformal,
+    semi-Riemannian, minimal), closed-form (semi-Riemannian, minimal), whether
+    those two agree, closed-form totally-geodesic conditions with a nonzero
+    parameter factor).  Per signature only total geodesy is left to pick, on
+    both sides.
     """
     family = config.family
     # The first signature of each eps_X*eps_Y class stands for that class.
@@ -355,51 +360,26 @@ def _draw_builds(config: SweepConfig):
             base, x2_by_class, attempts = _draw_so2_params(
                 rng, family, config.parameter_range, tuple(sorted(frames))
             )
-            builds = []
-            for s, frame in frames.items():
-                params = _ordered_params(family, {**base, "x2": x2_by_class[s]})
-                spec = FamilySpec.create(family, params, frame)
-                builds.append((spec, build_family(spec), {s: class_eps[s]}))
-            yield attempts, builds
+            draws = [(_ordered_params(family, {**base, "x2": x2_by_class[s]}), (s,)) for s in frames]
         else:
-            params = _draw_semisimple_params(rng, family, config.parameter_range)
-            spec = FamilySpec.create(family, params, next(iter(frames.values())))
-            yield 0, ((spec, build_family(spec), class_eps),)
-
-
-def _sweep_draws(config: SweepConfig):
-    """Yield (rejected circle draws, cases) per draw, cases being (eps, case) per signature.
-
-    A case is what every signature of its eps_X*eps_Y class shares (see _class_cases).
-    """
-    signatures = enumerate_signatures(config)
-    for attempts, builds in _draw_builds(config):
-        by_class = {}
-        for spec, setup, class_eps in builds:
-            by_class.update(_class_cases(spec, setup, class_eps))
-        yield attempts, ((eps, by_class[eps[-2] * eps[-1]]) for eps in signatures)
-
-
-def _class_cases(spec: FamilySpec, setup: FoliationSetup, class_eps: dict) -> dict:
-    """Per eps_X*eps_Y class in class_eps, the case its signatures share.
-
-    A case is (params, formatted params, horizontal forms, vertical forms,
-    geometric (conformal, semi-Riemannian, minimal), closed-form
-    (semi-Riemannian, minimal), whether those two agree, closed-form
-    totally-geodesic conditions with a nonzero parameter factor).  Per
-    signature only total geodesy is left to pick, on both sides.
-    """
-    horizontal, vertical = FrameFreeHorizontal.from_setup(setup), FrameFreeVertical.from_setup(setup)
-    params = spec.params
-    params_text = {name: format_scalar(value) for name, value in params.items()}
-    conditions = tuple(nonzero_tg_conditions(spec.family, params))
-    closed = (params["x1"] == 0 if spec.family in CIRCLE_FAMILIES else True, closed_form_minimal(spec))
-    cases = {}
-    for s, eps in class_eps.items():
-        conformal, semi, minimal = flags = horizontal.flags(eps)
-        agrees = conformal and (semi, minimal) == closed
-        cases[s] = (params, params_text, horizontal, vertical, flags, closed, agrees, conditions)
-    return cases
+            attempts = 0
+            draws = [(_draw_semisimple_params(rng, family, config.parameter_range), tuple(frames))]
+        builds = []
+        for drawn, classes in draws:
+            spec = FamilySpec.create(family, drawn, frames[classes[0]])
+            setup = build_family(spec)
+            horizontal, vertical = FrameFreeHorizontal.from_setup(setup), FrameFreeVertical.from_setup(setup)
+            params = spec.params
+            params_text = {name: format_scalar(value) for name, value in params.items()}
+            conditions = tuple(nonzero_tg_conditions(family, params))
+            closed = (params["x1"] == 0 if family in CIRCLE_FAMILIES else True, closed_form_minimal(spec))
+            cases = {}
+            for s in classes:
+                conformal, semi, minimal = flags = horizontal.flags(class_eps[s])
+                agrees = conformal and (semi, minimal) == closed
+                cases[s] = (params, params_text, horizontal, vertical, flags, closed, agrees, conditions)
+            builds.append((setup, cases))
+        yield attempts, builds
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -424,9 +404,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     resampled = 0
     total = n_conformal = n_semi = n_minimal = n_geodesic = 0
 
-    for attempts, cases in _sweep_draws(config):
+    for attempts, builds in _draw_cases(config):
         resampled += attempts
-        for eps, (_, params_text, horizontal, vertical, flags, closed, agrees, conditions) in cases:
+        cases = {s: case for _, by_class in builds for s, case in by_class.items()}
+        for eps in signatures:
+            _, params_text, horizontal, vertical, flags, closed, agrees, conditions = cases[eps[-2] * eps[-1]]
             conformal, semi, minimal = flags
             geodesic = vertical.totally_geodesic(eps)
             violated = first_violated_condition(conditions, eps)
@@ -508,9 +490,8 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
     signatures = enumerate_signatures(config)
     names = family_basis_names(family)
     results: list[dict] = []
-    for _, builds in _draw_builds(config):
-        ((spec, setup, class_eps),) = builds
-        cases = _class_cases(spec, setup, class_eps)
+    for _, builds in _draw_cases(config):
+        ((setup, cases),) = builds
         compact_type = None
         for eps in signatures:
             _, params_text, _, vertical, (conformal, _, minimal), _, _, conditions = cases[eps[-2] * eps[-1]]

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefol.algebra import (
+    ConstraintError,
     FoliationSetup,
+    JacobiError,
     MetricFrame,
     StructureError,
     StructureTensor,
@@ -18,6 +20,7 @@ from liefol.algebra import (
     format_scalar,
     jacobi_residual,
     killing_form,
+    require_lie_algebra,
 )
 from liefol.families import (
     FamilyId,
@@ -34,7 +37,7 @@ F = Fraction
 
 
 def bracket(tensor: StructureTensor, u, v) -> tuple[Fraction, ...]:
-    """The bilinear bracket [u, v] = sum_ij u_i v_j [e_i, e_j], the tests' reference for `bracket_with_basis`."""
+    """The bilinear bracket [u, v] = sum_ij u_i v_j [e_i, e_j], the tests' reference bracket."""
     out = [F(0)] * tensor.dim
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
@@ -208,7 +211,7 @@ class TestJacobiResidual:
 def reference_jacobi(tensor: StructureTensor):
     """(max_abs, violations, worst triple) from a plain triple loop over the bilinear bracket.
 
-    Independent of `bracket_with_basis` and of the residual's zero skipping:
+    Independent of the residual's kernel and of its zero skipping:
     every triple i < j < k is expanded as three nested `bracket` calls on basis
     vectors.  The worst triple is the first one reaching max_abs.
     """
@@ -264,11 +267,6 @@ class TestJacobiMatchesReference:
         report = jacobi_residual(tensor)
         assert (report.max_abs, report.violations, report.worst_triple()) == reference_jacobi(tensor)
         assert all(type(x) is Fraction for _, vec in report.violations for x in vec)
-        for k in range(tensor.dim):
-            e_k = [int(t == k) for t in range(tensor.dim)]
-            for i, j in combinations(range(tensor.dim), 2):
-                u = tensor.c[i][j]
-                assert tensor.bracket_with_basis(u, k) == bracket(tensor, u, e_k)
 
     @given(tensor=cancelling_tables())
     @settings(max_examples=120, deadline=None)
@@ -279,6 +277,43 @@ class TestJacobiMatchesReference:
     @settings(max_examples=60, deadline=None)
     def test_perturbed_family_tables(self, tensor):
         self.assert_matches_reference(tensor)
+
+
+def huge_non_lie_table(digits: int) -> StructureTensor:
+    """[e0, e1] = N e0 and [e0, e2] = N e2 with N = 10^digits - 1: residual N^2 e2 at (0, 1, 2)."""
+    n = int("9" * digits)
+    return StructureTensor.from_rows(5, {(0, 1): [n, 0, 0, 0, 0], (0, 2): [0, 0, n, 0, 0]})
+
+
+class TestJacobiGate:
+    def test_lie_algebra_passes(self):
+        assert require_lie_algebra(su2_tensor()) is None
+
+    def test_failure_carries_the_report(self):
+        spec = FamilySpec.create("su2", {"b11": 2, "c22": 3})
+        theta = list(closed_form_theta(spec))
+        theta[0] += 1
+        bad = assemble_family_table(spec, theta_override=tuple(theta))
+        with pytest.raises(JacobiError) as err:
+            require_lie_algebra(bad)
+        assert isinstance(err.value, ConstraintError)
+        assert err.value.relation == "jacobi residual = 0"
+        assert err.value.report == jacobi_residual(bad)
+        report = err.value.report
+        assert str(err.value) == (
+            f"bracket table is not a Lie algebra: max Jacobi residual "
+            f"'{format_scalar(report.max_abs)}' at triple {report.worst_triple()}"
+        )
+
+    def test_huge_residual_gives_a_short_message(self):
+        # The residual has 6000 digits, more than str() converts; the message
+        # echoes it shortened.
+        table = huge_non_lie_table(3000)
+        with pytest.raises(JacobiError) as err:
+            require_lie_algebra(table)
+        assert len(str(err.value)) <= 300 and "\n" not in str(err.value)
+        assert err.value.report.worst_triple() == (0, 1, 2)
+        assert format_scalar(err.value.report.max_abs) == "9" * 2999 + "8" + "0" * 2999 + "1"
 
 
 class TestJacobiArithmetic:

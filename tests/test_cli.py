@@ -37,6 +37,7 @@ from liefol.families import (
     closed_form_theta,
     family_dimension,
 )
+from test_families import flip_theta_sign
 
 F = Fraction
 
@@ -345,6 +346,29 @@ class TestFamilyCommand:
     def test_unknown_family_exits_three(self, capsys):
         assert main(["family", "so3"]) == EXIT_PARSE
 
+    def test_jacobi_gate_failure_exits_four_with_one_line(self, monkeypatch, capsys):
+        flip_theta_sign(monkeypatch)
+        assert main(["family", "su2", "--param", "b11=2", "c22=3"]) == EXIT_CONSTRAINT
+        err = capsys.readouterr().err
+        assert err.startswith("constraint violation: bracket table is not a Lie algebra: ")
+        assert err.endswith(" [jacobi residual = 0]\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "params",
+        [["x2=" + "9" * 4000], ["x2=" + "9" * 4000, "y1=-" + "9" * 4000, "t14=" + "9" * 4000]],
+        ids=["degree-1", "degree-2"],
+    )
+    def test_huge_circle_residual_exits_four_with_one_short_line(self, params, capsys):
+        assert main(["family", "su2xso2", "--param", *params]) == EXIT_CONSTRAINT
+        err = capsys.readouterr().err
+        assert err.startswith("constraint violation: ") and err.count("\n") == 1 and len(err) <= 300
+
+    def test_empty_epsilon_exits_three_like_empty_signatures(self, capsys):
+        assert main(["family", "su2", "--epsilon", ""]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: --epsilon: expected comma-separated +-1 list, got ''\n"
+        assert main(["sweep", "su2", "--samples", "1", "--signatures", ""]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: --signatures: expected comma-separated +-1 list, got ''\n"
+
     def test_epsilon_argument(self, tmp_path):
         out_path = str(tmp_path / "f.json")
         code = main(["family", "su2", "--epsilon", "1,-1,1,1,1", "--out", out_path])
@@ -402,6 +426,12 @@ class TestSweepCommand:
 
     def test_unknown_family_exits_three(self, capsys):
         assert main(["sweep", "nope", "--samples", "1"]) == EXIT_PARSE
+
+    def test_jacobi_gate_failure_exits_three_with_one_line(self, monkeypatch, capsys):
+        flip_theta_sign(monkeypatch)
+        assert main(["sweep", "su2", "--samples", "3", "--seed", "1"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: bracket table is not a Lie algebra: ") and err.count("\n") == 1
 
     def test_unwritable_json_exits_three_before_the_run(self, tmp_path, capsys, monkeypatch):
         def no_run(config):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from liefol.algebra import ConstraintError, StructureError, StructureTensor, jacobi_residual
+from liefol import families
+from liefol.algebra import ConstraintError, JacobiError, StructureError, StructureTensor, jacobi_residual
 from liefol.families import (
     FamilyId,
     FamilySpec,
@@ -166,6 +167,23 @@ class TestBuildFamily:
         assert t1 == t2
 
 
+def flip_theta_sign(monkeypatch):
+    """Make build_family assemble its tables with -theta, which fails Jacobi unless theta = 0."""
+    real = families.closed_form_theta
+    monkeypatch.setattr(families, "closed_form_theta", lambda spec: tuple(-t for t in real(spec)))
+
+
+class TestBuildFamilyJacobiGate:
+    def test_flipped_theta_raises_the_gate_error(self, monkeypatch):
+        spec = FamilySpec.create("su2", {"b11": 2, "c22": 3})
+        flip_theta_sign(monkeypatch)
+        with pytest.raises(JacobiError) as err:
+            build_family(spec)
+        assert err.value.relation == "jacobi residual = 0"
+        assert err.value.report == jacobi_residual(assemble_family_table(spec))
+        assert not err.value.report.is_zero
+
+
 class TestCircleConstraints:
     def test_lemma_relations_rejected(self):
         with pytest.raises(ConstraintError) as err:
@@ -191,6 +209,20 @@ class TestCircleConstraints:
             build_family(
                 FamilySpec.create("su2xso2", {"x1": 1, "y2": 1, "theta4": 5})
             )
+
+    @pytest.mark.parametrize(
+        "params, relation",
+        [
+            ({"x2": "9" * 4000}, "eps_X*x2 + eps_Y*y1 = 0"),
+            # x2 = -y1 = N passes the second relation; the third has residual N^2.
+            ({"x2": "9" * 4000, "y1": "-" + "9" * 4000, "t14": "9" * 4000}, "t14*x2 + rho*y2 - t24*x1 = 0"),
+        ],
+    )
+    def test_huge_residual_is_echoed_shortened(self, params, relation):
+        with pytest.raises(ConstraintError) as err:
+            build_family(FamilySpec.create("su2xso2", params))
+        assert err.value.relation == relation
+        assert len(str(err.value)) <= 300
 
     def test_feasible_nontrivial_strata_build(self):
         # x1 != 0 with t24 = rho (y1 = x2 = 0).

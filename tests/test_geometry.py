@@ -34,6 +34,7 @@ from liefol.geometry import (
     second_fundamental_form_vertical_via_connection,
 )
 from liefol.linalg import determinant, solve_linear_system
+from test_algebra import huge_non_lie_table
 
 F = Fraction
 
@@ -325,6 +326,16 @@ class TestClassify:
         with pytest.raises(JacobiError):
             classify(setup)
 
+    @pytest.mark.parametrize("digits", [1, 3000])
+    def test_every_jacobi_gated_entry_point_raises_the_gate_error(self, digits):
+        tensor = huge_non_lie_table(digits)
+        setup = FoliationSetup(tensor, MetricFrame((1,) * 5), (0, 1, 2), (3, 4))
+        for entry_point in (classify, connection_coefficients, second_fundamental_form_vertical_via_connection):
+            with pytest.raises(JacobiError) as err:
+                entry_point(setup)
+            assert err.value.report == jacobi_residual(tensor)
+            assert len(str(err.value)) <= 300
+
     def test_int_entry_table_keeps_exact_fraction_entries(self):
         # A table built directly with int entries: every form entry, the mean
         # curvature and the conformal vector are still Fractions, equal to
@@ -385,8 +396,8 @@ def check_conformal_bracket_condition(setup: FoliationSetup) -> bool:
         for j in setup.vertical[a + 1 :]:
             row = c[i][j]
             for h in hset:
-                image = setup.tensor.bracket_with_basis(row, h)
-                if any(image[k] for k in hset):
+                # [row, e_h] = sum_m row_m [e_m, e_h], along the horizontal e_k.
+                if any(sum(rm * c[m][h][k] for m, rm in enumerate(row)) for k in hset):
                     return False
     return True
 

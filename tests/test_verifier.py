@@ -51,8 +51,8 @@ from liefol.verifier import (
     run_sweep,
     _draw_semisimple_params,
     _draw_so2_params,
+    _draw_cases,
     _sample_rng,
-    _sweep_draws,
 )
 from test_families import rejected_sl2rxso2_table
 
@@ -450,11 +450,11 @@ class TestWitnessPick:
         config = SweepConfig(family=family, samples=1 if family_dimension(family) == 8 else 3, seed=31)
         signatures = enumerate_signatures(config)
         witnessed = unwitnessed = 0
-        for _, builds in verifier._draw_builds(config):
-            for spec, setup, class_eps in builds:
+        for _, builds in _draw_cases(config):
+            for setup, cases in builds:
                 vertical = FrameFreeVertical.from_setup(setup)
                 for eps in signatures:
-                    if eps[-2] * eps[-1] not in class_eps:
+                    if eps[-2] * eps[-1] not in cases:
                         continue
                     hit = FoliationSetup(setup.tensor, MetricFrame(eps), setup.vertical, setup.horizontal)
                     expected = first_nonzero_of(classify(hit, require_jacobi=False).bv)
@@ -488,13 +488,13 @@ class TestSweepBuildsOncePerDraw:
         cases = 0
         circle_mixed_rows = False  # y1 and x1 nonzero: sff_H(X, Y) depends on eps_X*eps_Y
         mean_directions = set()  # horizontal directions with nonzero mean curvature
-        for _, draw_cases in _sweep_draws(config):
-            for sig, (eps, case) in zip(signatures, draw_cases):
-                params, _, horizontal, vertical, flags, closed, _, conditions = case
-                spec = FamilySpec(family, params, MetricFrame(eps))
-                report = horizontal.report(eps, vertical.form(eps))
+        for _, builds in _draw_cases(config):
+            by_class = {s: case for _, served in builds for s, case in served.items()}
+            for sig in signatures:
+                params, _, horizontal, vertical, flags, closed, _, conditions = by_class[sig[-2] * sig[-1]]
+                spec = FamilySpec(family, params, MetricFrame(sig))
+                report = horizontal.report(sig, vertical.form(sig))
                 circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
-                assert spec.signature.epsilon == sig
                 # build_family has checked the Jacobi identity.
                 setup = build_family(FamilySpec.create(family, spec.params, sig))
                 expected = classify(setup, require_jacobi=False)
@@ -507,7 +507,7 @@ class TestSweepBuildsOncePerDraw:
                 assert report.bv == via_connection
                 # The sweep's per-signature picks: the same flags as the full report,
                 # and total geodesy exactly when the Koszul-route sff_V vanishes.
-                geodesic = vertical.totally_geodesic(eps)
+                geodesic = vertical.totally_geodesic(sig)
                 assert (*flags, geodesic) == (
                     report.conformal,
                     report.semi_riemannian,
@@ -516,7 +516,7 @@ class TestSweepBuildsOncePerDraw:
                 ), sig
                 assert geodesic == (not any(any(vec) for vec in via_connection.values()))
                 # ... and its per-draw closed forms equal the per-case predicates.
-                assert (first_violated_condition(conditions, eps) is None) == (
+                assert (first_violated_condition(conditions, sig) is None) == (
                     closed_form_totally_geodesic(spec)
                 )
                 assert closed[1] == closed_form_minimal(spec)
