@@ -93,8 +93,13 @@ def format_scalar(value: Fraction) -> str:
         return text if value.denominator == 1 else f"{text}/{decimal.Decimal(value.denominator)}"
 
 
+def _echo(value: Fraction) -> str:
+    """value's exact text for an error message, shortened as reprlib shortens a long string."""
+    return reprlib.repr(format_scalar(value))[1:-1]
+
+
 def _as_vector(entries: Iterable[ScalarLike], dim: int, what: str) -> tuple[Fraction, ...]:
-    vec = tuple(as_scalar(v) for v in entries)
+    vec = tuple(map(as_scalar, entries))
     if len(vec) != dim:
         raise StructureError(f"{what} has length {len(vec)}, expected {dim}")
     return vec
@@ -132,7 +137,7 @@ class StructureTensor:
                     # Most entries are zero pairs; negating a zero still builds a Fraction.
                     if (a or b) and a != -b:
                         raise StructureError(
-                            f"antisymmetry violated at c[{i}][{j}][{k}] (= {a}, mirror {b})"
+                            f"antisymmetry violated at c[{i}][{j}][{k}] (= {_echo(a)}, mirror {_echo(b)})"
                         )
 
     @classmethod
@@ -144,20 +149,22 @@ class StructureTensor:
         """
         if dim < 1:
             raise StructureError(f"dim must be positive, got {dim}")
-        table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        # Every absent pair shares one all-zero row.
+        zero_row = (ZERO,) * dim
+        table = [[zero_row] * dim for _ in range(dim)]
         for (i, j), coeffs in rows.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise StructureError(f"bracket pair ({i}, {j}) out of range for dim {dim}")
             if i >= j:
                 raise StructureError(f"bracket pair ({i}, {j}) must have i < j")
             vec = _as_vector(coeffs, dim, f"bracket [e_{i}, e_{j}]")
-            table[i][j] = list(vec)
-            table[j][i] = [-v if v else ZERO for v in vec]
+            table[i][j] = vec
+            table[j][i] = tuple(-v if v else ZERO for v in vec)
         # The table is dim x dim x dim, all Fraction and antisymmetric by
         # construction, so the constructor's checks are skipped.
         tensor = object.__new__(cls)
         object.__setattr__(tensor, "dim", dim)
-        object.__setattr__(tensor, "c", tuple(tuple(tuple(v) for v in row) for row in table))
+        object.__setattr__(tensor, "c", tuple(map(tuple, table)))
         return tensor
 
 
@@ -222,17 +229,17 @@ def require_lie_algebra(tensor: StructureTensor) -> None:
 def _check_subalgebra(tensor: StructureTensor, indices: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(indices)
     if len(set(idx)) != len(idx):
-        raise StructureError(f"duplicate indices in {idx}")
+        raise StructureError(f"duplicate indices in {reprlib.repr(idx)}")
     if any(not (0 <= i < tensor.dim) for i in idx):
-        raise StructureError(f"indices {idx} out of range for dim {tensor.dim}")
+        raise StructureError(f"indices {reprlib.repr(idx)} out of range for dim {tensor.dim}")
     inside = set(idx)
     for a in idx:
         for b in idx:
             for k, coeff in enumerate(tensor.c[a][b]):
                 if coeff and k not in inside:
                     raise StructureError(
-                        f"indices {idx} not closed under bracket: "
-                        f"[e_{a}, e_{b}] has e_{k} component {coeff}"
+                        f"indices {reprlib.repr(idx)} not closed under bracket: "
+                        f"[e_{a}, e_{b}] has e_{k} component {_echo(coeff)}"
                     )
     return idx
 
@@ -251,11 +258,14 @@ def killing_form(tensor: StructureTensor, indices: Sequence[int]) -> tuple[tuple
         for b in idx:
             total = ZERO
             for m in idx:
-                # ad_b e_m = [e_b, e_m], then the e_m-component of ad_a of that.
-                w = c[b][m]
-                for t, wt in enumerate(w):
+                # ad_b e_m = [e_b, e_m], then the e_m-component of ad_a of that;
+                # as in jacobi_residual, only nonzero operands enter the sum.
+                for t, wt in enumerate(c[b][m]):
                     if wt:
-                        total += wt * c[a][t][m]
+                        catm = c[a][t][m]
+                        if catm:
+                            term = wt * catm
+                            total = total + term if total else term
             row.append(total)
         matrix.append(tuple(row))
     return tuple(matrix)

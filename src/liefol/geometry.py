@@ -69,11 +69,32 @@ _ZERO_PAIR = (ZERO, ZERO)
 
 def _halves(t1: Fraction, t2: Fraction) -> tuple[Fraction, Fraction]:
     """((t1 + t2)/2, (t1 - t2)/2): entry (same < 0) is (t1 + same*t2)/2 for same = +-1."""
-    # Most coefficient pairs are zero; skipping their arithmetic makes the
-    # forms about three times faster to build.
-    if not (t1 or t2):
-        return _ZERO_PAIR
+    # Family tables give zero pairs, opposite pairs, t1 = 0 and equal pairs,
+    # in that order of frequency, and almost never another pair; each of
+    # those shapes needs at most one Fraction operation.
+    if not t2:
+        if not t1:
+            return _ZERO_PAIR
+        half = t1 * HALF
+        return half, half
+    if not t1:
+        half = t2 * HALF
+        return half, -half
+    if t1.denominator == t2.denominator:
+        if t1.numerator == -t2.numerator:
+            return ZERO, t1
+        if t1.numerator == t2.numerator:
+            return t1, ZERO
     return (t1 + t2) * HALF, (t1 - t2) * HALF
+
+
+def _sum_nonzero(values) -> Fraction:
+    """sum(values), adding only nonzero terms: adding a zero still builds a Fraction."""
+    total = ZERO
+    for value in values:
+        if value:
+            total = total + value if total else value
+    return total
 
 
 class FrameFreeVertical(NamedTuple):
@@ -192,15 +213,14 @@ class FrameFreeHorizontal(NamedTuple):
         for k in setup.vertical:
             ckx, cky = c[k][x], c[k][y]
             xx, yy = ckx[x], cky[y]
-            half = (xx + yy) * HALF if xx or yy else ZERO
-            entries.append((k, xx, yy, _halves(ckx[y], cky[x]), half))
+            entries.append((k, xx, yy, _halves(ckx[y], cky[x]), _halves(xx, yy)[0]))
         return cls(
             dim=setup.dim,
             horizontal=(x, y),
             entries=tuple(entries),
             mean_sums=(
-                sum((c[x][k][k] for k in setup.vertical), ZERO),
-                sum((c[y][k][k] for k in setup.vertical), ZERO),
+                _sum_nonzero(c[x][k][k] for k in setup.vertical),
+                _sum_nonzero(c[y][k][k] for k in setup.vertical),
             ),
             diagonal_equal=all(xx == yy for _, xx, yy, _, _ in entries),
             trace_free=not any(half for *_, half in entries),

@@ -260,7 +260,21 @@ def _draw_pair(rng: random.Random, bound: int) -> tuple[int, int]:
     # 1/4 so degenerate strata of the piecewise-linear predicates get hit.
     if rng.random() < 0.25:
         return 0, 1
-    return rng.randint(-bound, bound), rng.randint(1, bound)
+    # p and q as rng.randint(-bound, bound) and rng.randint(1, bound) draw
+    # them: a value below n from n.bit_length() random bits, redrawn while it
+    # is n or more (random.Random._randbelow_with_getrandbits), inlined.  The
+    # same getrandbits calls in the same order keep the pinned stream.
+    getrandbits = rng.getrandbits
+    width = 2 * bound + 1
+    bits = width.bit_length()
+    p = getrandbits(bits)
+    while p >= width:
+        p = getrandbits(bits)
+    bits = bound.bit_length()
+    q = getrandbits(bits)
+    while q >= bound:
+        q = getrandbits(bits)
+    return p - bound, q + 1
 
 
 def _draw_scalar(rng: random.Random, bound: int) -> Fraction:
@@ -283,9 +297,11 @@ def _draw_so2_params(
     eps_X*eps_Y class, rejected attempts).
 
     Each attempt is tested on integers: rho, x1, y1, t14 and t24 times the lcm
-    L of their denominators.  Every circle relation is homogeneous (degree 1
-    or 2, with theta4 = rho*t14/(2*x1) of degree 1), so scaling by L > 0 keeps
-    each one true or false; Fractions are built for the accepted draw only.
+    L of their denominators, and for x1 != 0 times 2*x1 as well, which makes
+    theta4 = rho*t14/(2*x1) the integer rho*t14.  Every circle relation is
+    homogeneous (degree 1 or 2, theta4 counting as degree 1), so scaling by a
+    nonzero number keeps each one true or false; Fractions are built for the
+    accepted draw only.
     """
     attempts = 0
     while True:
@@ -295,9 +311,13 @@ def _draw_so2_params(
         rho, x1, y1, t14, t24 = (p * (scale // q) for p, q in relation_pairs)
         # x1 = y2 and x2 = -s*y1 by construction; theta4 is determined unless
         # x1 + y2 = 0, and then relation 5 reads rho*t14 = 0 for any theta4.
-        theta4 = Fraction(rho * t14, 2 * x1) if x1 else 0
-        scaled = {"x1": x1, "y1": y1, "y2": x1, "t14": t14, "t24": t24, "rho": rho, "theta4": theta4}
-        if all(so2_failed_relation({**scaled, "x2": -s * y1}, 1, s) is None for s in classes):
+        m = 2 * x1 or 1
+        theta4 = rho * t14 if x1 else 0
+        mx1, my1 = m * x1, m * y1
+        scaled = {
+            "x1": mx1, "y1": my1, "y2": mx1, "t14": m * t14, "t24": m * t24, "rho": m * rho, "theta4": theta4
+        }
+        if all(so2_failed_relation({**scaled, "x2": -s * my1}, 1, s) is None for s in classes):
             break
         attempts += 1
         if attempts > SO2_MAX_ATTEMPTS:
@@ -307,7 +327,7 @@ def _draw_so2_params(
     drawn = {name: Fraction(p, q) if p else ZERO for name, (p, q) in zip(_SO2_DRAWN, pairs)}
     base = {name: drawn[name] for name in _SO2_DRAWN[:9]}
     base.update(y2=drawn["x1"], t14=drawn["t14"], t24=drawn["t24"])
-    base["theta4"] = theta4 / scale if x1 else drawn["theta4"]  # back in drawn units
+    base["theta4"] = Fraction(theta4, m * scale) if x1 else drawn["theta4"]  # back in drawn units
     y1 = drawn["y1"]
     return base, {s: -y1 if s > 0 else y1 for s in classes}, attempts
 

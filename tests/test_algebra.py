@@ -30,7 +30,7 @@ from liefol.families import (
     closed_form_theta,
     family_parameter_names,
 )
-from liefol.geometry import connection_coefficients
+from liefol.geometry import FrameFreeHorizontal, connection_coefficients
 from liefol.linalg import determinant
 
 F = Fraction
@@ -111,6 +111,19 @@ class TestStructureTensor:
         with pytest.raises(StructureError) as info:
             StructureTensor(3, frozen)
         assert str(info.value) == "antisymmetry violated at c[0][1][2] (= 0, mirror -3)"
+
+    @pytest.mark.parametrize("digits", [3001, 5000])
+    def test_huge_antisymmetry_violation_gives_a_short_message(self, digits):
+        # 5000 digits is more than str() converts; 3001 once gave a 6051-character message.
+        big = F(10**digits - 1, 7)
+        c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
+        c[0][1][0], c[1][0][0] = big, big  # the mirror should be -big
+        frozen = tuple(tuple(tuple(v) for v in row) for row in c)
+        with pytest.raises(StructureError) as info:
+            StructureTensor(2, frozen)
+        message = str(info.value)
+        assert message.startswith("antisymmetry violated at c[0][1][0] (= 9999") and "..." in message
+        assert len(message) <= 300 and "\n" not in message
 
     @pytest.mark.parametrize("entry, mirror, kind", [(0.5, -0.5, "float"), (True, -1, "bool")])
     def test_rejects_float_and_bool_entries(self, entry, mirror, kind):
@@ -318,11 +331,20 @@ class TestJacobiGate:
 
 class TestJacobiArithmetic:
     def test_no_fraction_addition_has_a_zero_operand(self, monkeypatch):
-        # Guards the cost of the residual and of the Koszul sums, not their
-        # values: adding a zero builds a new Fraction and runs a gcd for nothing.
+        # Guards the cost of the residual, the Koszul sums, the Killing form
+        # and the frame-free sff_H sums, not their values: adding a zero builds
+        # a new Fraction and runs a gcd for nothing.
         setup = build_family(
             FamilySpec.create(
                 "su2xsu2", {"b11": 1, "c21": F(1, 2), "s14": -2, "t15": F(3, 5), "rho": 3}, (1, -1, 1, -1, 1, 1, -1, 1)
+            )
+        )
+        # A circle member with nonzero mean-curvature sums and sff_H entries.
+        circle = build_family(
+            FamilySpec.create(
+                "su2xso2",
+                {"b11": 1, "c21": F(1, 2), "rho": 2, "x1": 1, "x2": -1, "y1": 1, "y2": 1, "t14": 2},
+                (1, -1, 1, 1, 1, 1),
             )
         )
         # A dim-12 table with about half its rows filled, failing Jacobi.
@@ -348,8 +370,12 @@ class TestJacobiArithmetic:
         monkeypatch.setattr(Fraction, "__radd__", recording(Fraction.__radd__))
         reports = [jacobi_residual(setup.tensor), jacobi_residual(failing)]
         connection_coefficients(setup, require_jacobi=False)
+        killing = [killing_form(s.tensor, s.vertical) for s in (setup, circle)]
+        horizontal = [FrameFreeHorizontal.from_setup(s) for s in (setup, circle)]
         monkeypatch.undo()
         assert reports[0].is_zero and not reports[1].is_zero
+        assert [k[0][0] for k in killing] == [-8, -8]
+        assert horizontal[1].mean_sums == (-2, 0)
         assert additions, "the recording hooks saw no addition"
         assert zero_additions == []
 
@@ -395,6 +421,17 @@ class TestKillingForm:
         setup = build_family(FamilySpec.create("su2"))
         with pytest.raises(StructureError, match="closed under bracket"):
             killing_form(setup.tensor, (0, 1))  # [A,B] = 2C leaves the span
+
+    @pytest.mark.parametrize("digits", [3001, 5000])
+    def test_huge_component_outside_the_span_gives_a_short_message(self, digits):
+        # 5000 digits is more than str() converts; 3001 once gave a 3071-character message.
+        tensor = StructureTensor.from_rows(3, {(0, 1): [0, 0, F(-(10**digits), 3)]})
+        with pytest.raises(StructureError) as info:
+            killing_form(tensor, (0, 1))
+        message = str(info.value)
+        assert message.startswith("indices (0, 1) not closed under bracket: [e_0, e_1] has e_2 component -1000")
+        assert "..." in message
+        assert len(message) <= 300 and "\n" not in message
 
 
 class TestSemisimplicity:

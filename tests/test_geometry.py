@@ -27,6 +27,7 @@ from liefol.families import (
 )
 from liefol.geometry import (
     FrameFreeVertical,
+    _halves,
     classify,
     connection_coefficients,
     second_fundamental_form_horizontal,
@@ -240,6 +241,31 @@ class TestVerticalForm:
                 assert frame_free.first_nonzero(eps) == expected
                 witnessed += expected is not None
         assert shuffled > len(setups) // 2 and witnessed > len(setups)
+
+
+@st.composite
+def coefficient_pairs(draw):
+    """(t1, t2) with zero, equal and opposite pairs and t1 = 0 drawn often, the shapes family tables give."""
+    scalar = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    t1 = draw(st.one_of(st.just(F(0)), scalar))
+    shape = draw(st.sampled_from(("zero", "equal", "opposite", "any")))
+    if shape == "zero":
+        return t1, F(0)
+    if shape == "equal":
+        return t1, t1
+    if shape == "opposite":
+        return t1, -t1
+    return t1, draw(st.one_of(st.just(F(0)), scalar))
+
+
+class TestHalves:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=coefficient_pairs())
+    def test_halves_are_the_half_sum_and_difference(self, pair):
+        t1, t2 = pair
+        halves = _halves(t1, t2)
+        assert halves == ((t1 + t2) / 2, (t1 - t2) / 2)
+        assert all(type(h) is Fraction for h in halves)
 
 
 class TestHorizontalForm:

@@ -561,13 +561,24 @@ class TestSweepBuildsOncePerDraw:
         assert counts == {"create": 3 * builds_per_draw, "setup": 3 * builds_per_draw}
 
 
+def reference_draw_pair(rng, bound):
+    """The draw of one (p, q) pair written on randint, kept as the reference for the pinned stream."""
+    if rng.random() < 0.25:
+        return 0, 1
+    return rng.randint(-bound, bound), rng.randint(1, bound)
+
+
+def reference_semisimple_params(rng, family, bound):
+    """The semisimple sampler on reference_draw_pair."""
+    pairs = {name: reference_draw_pair(rng, bound) for name in family_parameter_names(family)}
+    return {name: Fraction(p, q) for name, (p, q) in pairs.items()}
+
+
 def reference_so2_params(rng, bound, classes):
     """The circle sampler that builds and checks Fractions in every attempt, kept as the reference."""
 
     def scalar():
-        if rng.random() < 0.25:
-            return Fraction(0)
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return Fraction(*reference_draw_pair(rng, bound))
 
     shared = ("b11", "b21", "c11", "c12", "c21", "c22", "rho")
     attempts = 0
@@ -622,6 +633,33 @@ class TestSo2Sampling:
                 strata["x1 = 0"] += base["x1"] == 0
                 strata["theta4 determined, nonzero"] += base["x1"] != 0 and base["theta4"] != 0
         assert all(strata.values()), strata
+
+    # 1, the powers of two and 2^k +- 1 up to 64: each bit count the integer
+    # draws meet, at their lowest and highest redraw rates.
+    @pytest.mark.parametrize("bound", sorted({1, *(2**k + d for k in range(1, 7) for d in (-1, 0, 1))} - {65}))
+    def test_every_sampler_keeps_the_randint_stream(self, bound):
+        # Per bound 24 streams of the pair draw, 4 per semisimple family and 3
+        # per circle family and class set: 58 (seed, index) streams, 928 in all.
+        families = [f for f in FamilyId if f not in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2)]
+        for index in range(24):
+            rng, reference_rng = _sample_rng(bound, index), _sample_rng(bound, index)
+            for _ in range(12):
+                assert verifier._draw_pair(rng, bound) == reference_draw_pair(reference_rng, bound)
+                assert rng.getstate() == reference_rng.getstate()
+        for family, index in itertools.product(families, range(4)):
+            rng, reference_rng = _sample_rng(-bound, index), _sample_rng(-bound, index)
+            params = _draw_semisimple_params(rng, family, bound)
+            assert params == reference_semisimple_params(reference_rng, family, bound)
+            assert all(type(v) is Fraction for v in params.values())
+            assert rng.getstate() == reference_rng.getstate()
+        for family, classes, index in itertools.product(
+            (FamilyId.SU2xSO2, FamilyId.SL2RxSO2), ((1,), (-1,), (-1, 1)), range(3)
+        ):
+            rng, reference_rng = _sample_rng(1000 + bound, index), _sample_rng(1000 + bound, index)
+            assert _draw_so2_params(rng, family, bound, classes) == reference_so2_params(
+                reference_rng, bound, classes
+            )
+            assert rng.getstate() == reference_rng.getstate()
 
     def test_exhausted_sampler_raises_sampling_error(self, monkeypatch):
         monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 3)
