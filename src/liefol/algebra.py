@@ -21,6 +21,7 @@ Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 
 # The accepted string forms: an integer or "p/q", ASCII digits only.
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -98,6 +99,26 @@ def _echo(value: Fraction) -> str:
     return reprlib.repr(format_scalar(value))[1:-1]
 
 
+class _ShortRepr(reprlib.Repr):
+    """reprlib's shortening, with ints of any length: repr() refuses an int of
+    more than sys.get_int_max_str_digits() digits, and decimal does not."""
+
+    def repr_int(self, x, level):
+        text = str(decimal.Decimal(x))
+        if len(text) <= self.maxlong:
+            return text
+        head = (self.maxlong - 3) // 2
+        return text[:head] + "..." + text[len(text) - (self.maxlong - 3 - head):]
+
+
+# An index, epsilon or split tuple for an error message, shortened as reprlib.repr shortens it.
+_echo_tuple = _ShortRepr().repr
+
+
+# The entry types of a row that needs no as_scalar.
+_FRACTION_ONLY = {Fraction}
+
+
 def _as_vector(entries: Iterable[ScalarLike], dim: int, what: str) -> tuple[Fraction, ...]:
     vec = tuple(map(as_scalar, entries))
     if len(vec) != dim:
@@ -146,6 +167,8 @@ class StructureTensor:
 
         This is antisymmetric completion of sparse input, not correction: a
         full table passed to the constructor is still rejected if asymmetric.
+        A row of Fractions only is taken as it is; any other row goes through
+        as_scalar, entry by entry.
         """
         if dim < 1:
             raise StructureError(f"dim must be positive, got {dim}")
@@ -157,9 +180,12 @@ class StructureTensor:
                 raise StructureError(f"bracket pair ({i}, {j}) out of range for dim {dim}")
             if i >= j:
                 raise StructureError(f"bracket pair ({i}, {j}) must have i < j")
-            vec = _as_vector(coeffs, dim, f"bracket [e_{i}, e_{j}]")
+            vec = tuple(coeffs)
+            if len(vec) != dim or set(map(type, vec)) != _FRACTION_ONLY:
+                vec = _as_vector(vec, dim, f"bracket [e_{i}, e_{j}]")
             table[i][j] = vec
-            table[j][i] = tuple(-v if v else ZERO for v in vec)
+            # Negating a zero still builds a Fraction; the shared ZERO is found by identity.
+            table[j][i] = tuple(v if v is ZERO else -v if v else ZERO for v in vec)
         # The table is dim x dim x dim, all Fraction and antisymmetric by
         # construction, so the constructor's checks are skipped.
         tensor = object.__new__(cls)
@@ -229,16 +255,16 @@ def require_lie_algebra(tensor: StructureTensor) -> None:
 def _check_subalgebra(tensor: StructureTensor, indices: Sequence[int]) -> tuple[int, ...]:
     idx = tuple(indices)
     if len(set(idx)) != len(idx):
-        raise StructureError(f"duplicate indices in {reprlib.repr(idx)}")
+        raise StructureError(f"duplicate indices in {_echo_tuple(idx)}")
     if any(not (0 <= i < tensor.dim) for i in idx):
-        raise StructureError(f"indices {reprlib.repr(idx)} out of range for dim {tensor.dim}")
+        raise StructureError(f"indices {_echo_tuple(idx)} out of range for dim {tensor.dim}")
     inside = set(idx)
     for a in idx:
         for b in idx:
             for k, coeff in enumerate(tensor.c[a][b]):
                 if coeff and k not in inside:
                     raise StructureError(
-                        f"indices {reprlib.repr(idx)} not closed under bracket: "
+                        f"indices {_echo_tuple(idx)} not closed under bracket: "
                         f"[e_{a}, e_{b}] has e_{k} component {_echo(coeff)}"
                     )
     return idx
@@ -281,7 +307,7 @@ class MetricFrame:
         if not self.epsilon:
             raise StructureError("metric frame must have positive dimension")
         if any(type(e) is not int or e not in (1, -1) for e in self.epsilon):
-            raise StructureError(f"causal characters must be +1 or -1, got {reprlib.repr(self.epsilon)}")
+            raise StructureError(f"causal characters must be +1 or -1, got {_echo_tuple(self.epsilon)}")
 
     @property
     def dim(self) -> int:
@@ -310,16 +336,18 @@ class FoliationSetup:
         combined = tuple(self.vertical) + tuple(self.horizontal)
         if sorted(combined) != list(range(dim)):
             raise StructureError(
-                f"vertical {reprlib.repr(self.vertical)} + horizontal {reprlib.repr(self.horizontal)} "
+                f"vertical {_echo_tuple(self.vertical)} + horizontal {_echo_tuple(self.horizontal)} "
                 f"must partition 0..{dim - 1}"
             )
         if not self.vertical:
             raise StructureError("vertical part must be nonempty")
         hset = set(self.horizontal)
+        c = self.tensor.c
         for a in self.vertical:
             for b in self.vertical:
+                cab = c[a][b]
                 for k in hset:
-                    if self.tensor.c[a][b][k]:
+                    if cab[k]:
                         raise StructureError(
                             f"vertical indices do not span a subalgebra: "
                             f"[e_{a}, e_{b}] has horizontal e_{k} component"

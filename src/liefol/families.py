@@ -29,6 +29,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
+    HALF,
+    ZERO,
     ConstraintError,
     FoliationSetup,
     MetricFrame,
@@ -40,9 +42,8 @@ from .algebra import (
     require_lie_algebra,
 )
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 TWO = Fraction(2)
+MINUS_TWO = -TWO
 
 
 class FamilyId(str, Enum):
@@ -179,6 +180,36 @@ def _block_params(spec: FamilySpec, block_index: int) -> tuple[Fraction, ...]:
     return b_x, c1_x, c2_x, b_y, c1_y, c2_y
 
 
+def _signed(sign: int, value):
+    """sign*value for sign = +-1, by negation; a zero is returned as it is (negating one builds a Fraction)."""
+    return value if sign > 0 or not value else -value
+
+
+def _sum_of_products(terms):
+    """The sum of sign*a*b over the (sign, a, b) terms, each sign +-1; ZERO if every product has a zero factor.
+
+    A product with a zero factor is skipped and a sign is applied by
+    negation, so no Fraction operation has a zero operand or a sign as one.
+    Only +, -, * and truthiness are used, so the entries may come from any
+    ring that has them.
+    """
+    total = ZERO
+    for sign, a, b in terms:
+        if a and b:
+            product = a * b
+            if not total:
+                total = product if sign > 0 else -product
+            else:
+                total = total + product if sign > 0 else total - product
+    return total
+
+
+def _half_sum(terms):
+    """_sum_of_products(terms)/2, ZERO when that sum is zero."""
+    total = _sum_of_products(terms)
+    return total * HALF if total else ZERO
+
+
 def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
     """The [X, Y] vertical coefficients: 3 per simple block, plus theta4 for circle factors.
 
@@ -192,34 +223,12 @@ def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
     theta: list[Fraction] = []
     for idx, sigma in enumerate(signs):
         bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
-        cross = bx * c1y - by * c1x
-        half = HALF if sigma > 0 else -HALF
-        theta.append(HALF * ((cross if sigma > 0 else -cross) - rho * c2x))
-        theta.append(half * (rho * c1x + bx * c2y - by * c2x))
-        theta.append(half * (c1x * c2y - c1y * c2x - rho * bx))
+        theta.append(_half_sum(((sigma, bx, c1y), (-sigma, by, c1x), (-1, rho, c2x))))
+        theta.append(_half_sum(((sigma, rho, c1x), (sigma, bx, c2y), (-sigma, by, c2x))))
+        theta.append(_half_sum(((sigma, c1x, c2y), (-sigma, c1y, c2x), (-sigma, rho, bx))))
     if has_so2:
         theta.append(spec.params["theta4"])
     return tuple(theta)
-
-
-def _so2_relation_sides(
-    p: Mapping[str, Fraction | int], eps_x: int, eps_y: int
-) -> Iterator[tuple[str, Fraction | int, Fraction | int]]:
-    """(relation, left side, right side) of each circle-family relation, lazily.
-
-    Values may be ints: each relation is homogeneous of degree 1 or 2 in the
-    parameters (theta4 counting as degree 1), so multiplying all of them by one
-    nonzero number, such as a common denominator, keeps each relation true or
-    false.  The circle sampler tests its draws that way.
-    """
-    x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
-    t14, t24, rho = p["t14"], p["t24"], p["rho"]
-    yield "x1 = y2", x1, y2
-    # eps = +-1, so sign flips stand in for the products eps_X*x2 and -eps_Y*y1.
-    yield "eps_X*x2 + eps_Y*y1 = 0", (x2 if eps_x > 0 else -x2), (-y1 if eps_y > 0 else y1)
-    yield "t14*x2 + rho*y2 - t24*x1 = 0", t14 * x2 + rho * y2, t24 * x1
-    yield "t14*y2 - (rho + t24)*y1 = 0", t14 * y2, (rho + t24) * y1
-    yield "(x1 + y2)*theta4 = rho*t14", (x1 + y2) * p["theta4"], rho * t14
 
 
 def so2_failed_relation(
@@ -229,13 +238,31 @@ def so2_failed_relation(
 
     Checks the conformality constraint, then the three residual Jacobi
     relations (module docstring), in that order; None when all hold.  A
-    relation is evaluated only if every earlier one holds.  Integer values
-    are sound for the verdict (see _so2_relation_sides); the residual is then
-    in their units.
+    relation is evaluated only if every earlier one holds.
+
+    Values may be ints: each relation is homogeneous of degree 1 or 2 in the
+    parameters (theta4 counting as degree 1), so multiplying all of them by one
+    nonzero number, such as a common denominator, keeps each relation true or
+    false; the residual is then in their units.  The circle sampler tests its
+    draws that way.
     """
-    for relation, lhs, rhs in _so2_relation_sides(params, eps_x, eps_y):
-        if lhs != rhs:
-            return relation, lhs - rhs
+    x1, x2, y1, y2 = params["x1"], params["x2"], params["y1"], params["y2"]
+    if x1 != y2:
+        return "x1 = y2", x1 - y2
+    # eps = +-1, so sign flips stand in for the products eps_X*x2 and -eps_Y*y1.
+    lhs, rhs = (x2 if eps_x > 0 else -x2), (-y1 if eps_y > 0 else y1)
+    if lhs != rhs:
+        return "eps_X*x2 + eps_Y*y1 = 0", lhs - rhs
+    t14, t24, rho = params["t14"], params["t24"], params["rho"]
+    lhs, rhs = t14 * x2 + rho * y2, t24 * x1
+    if lhs != rhs:
+        return "t14*x2 + rho*y2 - t24*x1 = 0", lhs - rhs
+    lhs, rhs = t14 * y2, (rho + t24) * y1
+    if lhs != rhs:
+        return "t14*y2 - (rho + t24)*y1 = 0", lhs - rhs
+    lhs, rhs = (x1 + y2) * params["theta4"], rho * t14
+    if lhs != rhs:
+        return "(x1 + y2)*theta4 = rho*t14", lhs - rhs
     return None
 
 
@@ -252,16 +279,16 @@ def _simple_block_rows(
 ) -> None:
     """Mixed rows [A,h], [B,h], [C,h] of one simple block; the [A,h] row carries -sigma."""
     a, b, c = offset, offset + 1, offset + 2
-    rows[(a, h_index)] = _row(dim, ((b, -sigma * beta), (c, -sigma * gamma1)))
-    rows[(b, h_index)] = _row(dim, ((a, beta), (c, -gamma2)))
+    rows[(a, h_index)] = _row(dim, ((b, _signed(-sigma, beta)), (c, _signed(-sigma, gamma1))))
+    rows[(b, h_index)] = _row(dim, ((a, beta), (c, _signed(-1, gamma2))))
     rows[(c, h_index)] = _row(dim, ((a, gamma1), (b, gamma2)))
 
 
 def _base_block_rows(rows: dict, dim: int, sigma: int, offset: int) -> None:
     a, b, c = offset, offset + 1, offset + 2
     rows[(a, b)] = _row(dim, ((c, TWO),))
-    rows[(a, c)] = _row(dim, ((b, -TWO),))  # [C, A] = 2B
-    rows[(b, c)] = _row(dim, ((a, sigma * TWO),))
+    rows[(a, c)] = _row(dim, ((b, MINUS_TWO),))  # [C, A] = 2B
+    rows[(b, c)] = _row(dim, ((a, TWO if sigma > 0 else MINUS_TWO),))
 
 
 def assemble_family_table(
@@ -294,14 +321,14 @@ def assemble_family_table(
     if has_so2:
         t_index = 3
         p = spec.params
-        half = HALF * signs[0]
+        sigma = signs[0]
         for h_index, (u, v, t_diag) in (
             (x_index, (p["x1"], p["y1"], p["t14"])),
             (y_index, (p["x2"], p["y2"], p["t24"])),
         ):
-            pa = -HALF * (u * p["c12"] + v * p["c22"])
-            qb = half * (u * p["c11"] + v * p["c21"])
-            rc = -half * (u * p["b11"] + v * p["b21"])
+            pa = _half_sum(((-1, u, p["c12"]), (-1, v, p["c22"])))
+            qb = _half_sum(((sigma, u, p["c11"]), (sigma, v, p["c21"])))
+            rc = _half_sum(((-sigma, u, p["b11"]), (-sigma, v, p["b21"])))
             rows[(t_index, h_index)] = _row(
                 dim, ((0, pa), (1, qb), (2, rc), (t_index, t_diag), (x_index, u), (y_index, v))
             )
@@ -384,7 +411,7 @@ def _tg_terms(
         yield "t14", None, params["t14"]
         yield "t24", None, params["t24"]
         for label, u, lhs, v, rhs in _TG_CIRCLE_ROWS:
-            yield label, None, params[u] * params[lhs] + params[v] * params[rhs]
+            yield label, None, _sum_of_products(((1, params[u], params[lhs]), (1, params[v], params[rhs])))
 
 
 def _eps_scale(factor: tuple[int, int, int] | None, eps: Sequence[int]) -> int:

@@ -20,10 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import FoliationSetup, require_lie_algebra
-
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
+from .algebra import HALF, ZERO, FoliationSetup, require_lie_algebra
 
 
 @dataclass(frozen=True)

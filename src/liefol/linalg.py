@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-ZERO = Fraction(0)
+from .algebra import ZERO
+
 ONE = Fraction(1)
 
 

@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
 from .algebra import (
+    ZERO,
     FoliationSetup,
     MetricFrame,
     StructureError,
@@ -49,8 +50,6 @@ from .geometry import (
     second_fundamental_form_horizontal,
 )
 from .linalg import is_negative_definite, solve_linear_system
-
-ZERO = Fraction(0)
 
 # Detailed disagreement/counterexample entries kept per report; totals are exact.
 DETAIL_CAP = 100
@@ -306,18 +305,21 @@ def _draw_so2_params(
     attempts = 0
     while True:
         pairs = [_draw_pair(rng, bound) for _ in _SO2_DRAWN]
-        relation_pairs = pairs[6:11]  # rho, x1, y1, t14, t24
-        scale = math.lcm(*(q for _, q in relation_pairs))
-        rho, x1, y1, t14, t24 = (p * (scale // q) for p, q in relation_pairs)
+        (rho, q_rho), (x1, q_x1), (y1, q_y1), (t14, q_t14), (t24, q_t24) = pairs[6:11]
+        scale = math.lcm(q_rho, q_x1, q_y1, q_t14, q_t24)
+        rho, x1, y1 = rho * (scale // q_rho), x1 * (scale // q_x1), y1 * (scale // q_y1)
+        t14, t24 = t14 * (scale // q_t14), t24 * (scale // q_t24)
         # x1 = y2 and x2 = -s*y1 by construction; theta4 is determined unless
         # x1 + y2 = 0, and then relation 5 reads rho*t14 = 0 for any theta4.
         m = 2 * x1 or 1
         theta4 = rho * t14 if x1 else 0
         mx1, my1 = m * x1, m * y1
-        scaled = {
-            "x1": mx1, "y1": my1, "y2": mx1, "t14": m * t14, "t24": m * t24, "rho": m * rho, "theta4": theta4
-        }
-        if all(so2_failed_relation({**scaled, "x2": -s * my1}, 1, s) is None for s in classes):
+        scaled = {"x1": mx1, "y1": my1, "y2": mx1, "t14": m * t14, "t24": m * t24, "rho": m * rho, "theta4": theta4}
+        for s in classes:
+            scaled["x2"] = -s * my1
+            if so2_failed_relation(scaled, 1, s):
+                break
+        else:  # no class failed
             break
         attempts += 1
         if attempts > SO2_MAX_ATTEMPTS:
@@ -327,9 +329,10 @@ def _draw_so2_params(
     drawn = {name: Fraction(p, q) if p else ZERO for name, (p, q) in zip(_SO2_DRAWN, pairs)}
     base = {name: drawn[name] for name in _SO2_DRAWN[:9]}
     base.update(y2=drawn["x1"], t14=drawn["t14"], t24=drawn["t24"])
-    base["theta4"] = Fraction(theta4, m * scale) if x1 else drawn["theta4"]  # back in drawn units
+    # Back in drawn units; a zero is the shared ZERO, as every drawn zero is.
+    base["theta4"] = (Fraction(theta4, m * scale) if theta4 else ZERO) if x1 else drawn["theta4"]
     y1 = drawn["y1"]
-    return base, {s: -y1 if s > 0 else y1 for s in classes}, attempts
+    return base, {s: -y1 if s > 0 and y1 else y1 for s in classes}, attempts
 
 
 def _ordered_params(family: FamilyId, params: dict) -> dict:

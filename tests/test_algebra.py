@@ -134,6 +134,37 @@ class TestStructureTensor:
         with pytest.raises(StructureError, match=f"must be int or Fraction, got {kind}"):
             StructureTensor(2, frozen)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (True, "not a scalar: True"),
+            (0.5, "floating literal 0.5 not allowed; use an exact 'p/q' string"),
+            ("1/x", "not an exact rational literal: '1/x'"),
+            (-3, None),
+            (F(-3), None),
+            (F(0), None),
+        ],
+        ids=["bool", "float", "malformed-string", "int", "fraction", "unshared-zero"],
+    )
+    def test_from_rows_entry_kinds(self, entry, message):
+        # One entry of a row of Fractions replaced: a rejected kind keeps
+        # as_scalar's message; an accepted one gives the table the validating
+        # constructor accepts, with the entry as a Fraction.
+        row = [F(0), F(1, 2), entry, F(0), F(-2)]
+        rows = {(0, 1): row, (1, 3): [F(0), F(0), F(0), F(7, 3), F(0)]}
+        if message is not None:
+            with pytest.raises(StructureError) as info:
+                StructureTensor.from_rows(5, rows)
+            assert str(info.value) == message
+            return
+        tensor = StructureTensor.from_rows(5, rows)
+        c = [[[F(0)] * 5 for _ in range(5)] for _ in range(5)]
+        for (i, j), values in rows.items():
+            c[i][j] = [F(v) for v in values]
+            c[j][i] = [-F(v) for v in values]
+        assert tensor == StructureTensor(5, tuple(tuple(map(tuple, block)) for block in c))
+        assert all(type(v) is Fraction for block in tensor.c for vec in block for v in vec)
+
     def test_rejects_bad_pairs(self):
         with pytest.raises(StructureError, match="i < j"):
             StructureTensor.from_rows(3, {(1, 0): [0, 0, 1]})
@@ -378,6 +409,72 @@ class TestJacobiArithmetic:
         assert horizontal[1].mean_sums == (-2, 0)
         assert additions, "the recording hooks saw no addition"
         assert zero_additions == []
+
+
+def record_zero_operands(monkeypatch, methods):
+    """Wrap each Fraction method; returns (all calls, calls with a zero operand) as they happen."""
+    calls, zero_calls = [], []
+
+    def recording(name, operation):
+        def wrapped(a, b):
+            calls.append((name, a, b))
+            if not a or not b:
+                zero_calls.append((name, a, b))
+            return operation(a, b)
+
+        return wrapped
+
+    for name in methods:
+        monkeypatch.setattr(Fraction, name, recording(name, getattr(Fraction, name)))
+    return calls, zero_calls
+
+
+class TestAssemblyArithmetic:
+    def test_theta_and_table_assembly_have_no_zero_operand(self, monkeypatch):
+        # Guards the cost of closed_form_theta and the table rows, not their
+        # values: a product with a zero factor, or a sign applied by
+        # multiplication, builds Fractions for nothing.
+        specs = [
+            FamilySpec.create(
+                "su2xsu2", {"b11": 1, "c21": F(1, 2), "s14": -2, "t15": F(3, 5), "rho": 3}, (1, -1, 1, -1, 1, 1, -1, 1)
+            ),
+            FamilySpec.create(
+                "su2xso2",
+                {"b11": 1, "c21": F(1, 2), "rho": 2, "x1": 1, "x2": -1, "y1": 1, "y2": 1, "t14": 2},
+                (1, -1, 1, 1, 1, 1),
+            ),
+        ]
+        calls, zero_calls = record_zero_operands(
+            monkeypatch, ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+        )
+        thetas = [closed_form_theta(spec) for spec in specs]
+        tables = [assemble_family_table(spec) for spec in specs]
+        monkeypatch.undo()
+        assert all(jacobi_residual(table).is_zero for table in tables)
+        assert thetas[0][:3] == (F(1, 4), F(0), F(-3, 2)) and thetas[1][3] == 2
+        assert calls, "the recording hooks saw no operation"
+        assert zero_calls == []
+
+
+class TestHugeIndices:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: killing_form(su2_tensor(), (10**5000,)),
+            lambda: MetricFrame((1, 1, 1, 1, 10**5000)),
+            lambda: FoliationSetup(
+                StructureTensor.from_rows(5, {}), MetricFrame((1, 1, 1, 1, 1)), (0, 1, 2), (10**5000, 4)
+            ),
+        ],
+        ids=["killing_form", "MetricFrame", "FoliationSetup"],
+    )
+    def test_huge_index_gives_a_short_message(self, build):
+        # 5000 digits is more than repr() converts; reprlib once raised ValueError on it.
+        with pytest.raises(StructureError) as info:
+            build()
+        message = str(info.value)
+        assert "1000" in message and "..." in message
+        assert len(message) <= 300 and "\n" not in message
 
 
 class TestKillingForm:
