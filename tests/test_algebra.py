@@ -360,6 +360,24 @@ class TestJacobiGate:
         assert format_scalar(err.value.report.max_abs) == "9" * 2999 + "8" + "0" * 2999 + "1"
 
 
+def record_zero_operands(monkeypatch, methods):
+    """Wrap each Fraction method; returns (all calls, calls with a zero operand) as they happen."""
+    calls, zero_calls = [], []
+
+    def recording(name, operation):
+        def wrapped(a, b):
+            calls.append((name, a, b))
+            if not a or not b:
+                zero_calls.append((name, a, b))
+            return operation(a, b)
+
+        return wrapped
+
+    for name in methods:
+        monkeypatch.setattr(Fraction, name, recording(name, getattr(Fraction, name)))
+    return calls, zero_calls
+
+
 class TestJacobiArithmetic:
     def test_no_fraction_addition_has_a_zero_operand(self, monkeypatch):
         # Guards the cost of the residual, the Koszul sums, the Killing form
@@ -386,19 +404,7 @@ class TestJacobiArithmetic:
             if rng.random() < 0.5
         }
         failing = StructureTensor.from_rows(12, rows)
-        additions, zero_additions = [], []
-
-        def recording(add):
-            def wrapped(a, b):
-                additions.append((a, b))
-                if not a or not b:
-                    zero_additions.append((a, b))
-                return add(a, b)
-
-            return wrapped
-
-        monkeypatch.setattr(Fraction, "__add__", recording(Fraction.__add__))
-        monkeypatch.setattr(Fraction, "__radd__", recording(Fraction.__radd__))
+        additions, zero_additions = record_zero_operands(monkeypatch, ("__add__", "__radd__"))
         reports = [jacobi_residual(setup.tensor), jacobi_residual(failing)]
         connection_coefficients(setup, require_jacobi=False)
         killing = [killing_form(s.tensor, s.vertical) for s in (setup, circle)]
@@ -409,24 +415,6 @@ class TestJacobiArithmetic:
         assert horizontal[1].mean_sums == (-2, 0)
         assert additions, "the recording hooks saw no addition"
         assert zero_additions == []
-
-
-def record_zero_operands(monkeypatch, methods):
-    """Wrap each Fraction method; returns (all calls, calls with a zero operand) as they happen."""
-    calls, zero_calls = [], []
-
-    def recording(name, operation):
-        def wrapped(a, b):
-            calls.append((name, a, b))
-            if not a or not b:
-                zero_calls.append((name, a, b))
-            return operation(a, b)
-
-        return wrapped
-
-    for name in methods:
-        monkeypatch.setattr(Fraction, name, recording(name, getattr(Fraction, name)))
-    return calls, zero_calls
 
 
 class TestAssemblyArithmetic:
