@@ -16,6 +16,8 @@ circle-family sampler found no feasible draw.
 
 Output files (`family --out`, `sweep --json`) are written to a temporary file
 next to the path and renamed onto it, so the path never holds a partial file.
+A path that exists and is not a regular file (a FIFO or a device) is written
+in place, so a reader on the FIFO gets the output.
 """
 
 from __future__ import annotations
@@ -323,25 +325,30 @@ def cmd_family(args) -> int:
 def _output_file(path: str):
     """A temporary file next to path, renamed onto it if the block succeeds and removed otherwise.
 
-    The file is created on entry, so an unusable path fails before the block
-    runs; that and a failed write or rename are a ParseError.
+    An existing path that is not a regular file (a FIFO, a device) is written
+    in place.  The file is opened on entry, so an unusable path fails before
+    the block runs; that and a failed write or rename are a ParseError.
     """
     if os.path.isdir(path):
         raise ParseError(path, "is a directory")
+    in_place = os.path.exists(path) and not os.path.isfile(path)
     directory, name = os.path.split(os.path.abspath(path))
+    target = path if in_place else os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
-        out = open(os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp"), "x", encoding="utf-8")
+        out = open(target, "w" if in_place else "x", encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None
     try:
         with out:
             yield out
-        os.replace(out.name, path)
+        if not in_place:
+            os.replace(target, path)
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(out.name)
+        if not in_place:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(target)
 
 
 def _signature_config(args, family: FamilyId) -> SweepConfig:

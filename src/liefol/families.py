@@ -174,9 +174,9 @@ class FamilySpec:
         return cls(fam, values, frame)
 
 
-def _block_params(spec: FamilySpec, block_index: int) -> tuple[Fraction, ...]:
+def _block_params(params: Mapping[str, Fraction], block_index: int) -> tuple[Fraction, ...]:
     names = _BLOCK1_PARAMS if block_index == 0 else _BLOCK2_PARAMS
-    b_x, b_y, c1_x, c2_x, c1_y, c2_y = (spec.params[n] for n in names)
+    b_x, b_y, c1_x, c2_x, c1_y, c2_y = (params[n] for n in names)
     return b_x, c1_x, c2_x, b_y, c1_y, c2_y
 
 
@@ -222,7 +222,7 @@ def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
     rho = spec.params["rho"]
     theta: list[Fraction] = []
     for idx, sigma in enumerate(signs):
-        bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
+        bx, c1x, c2x, by, c1y, c2y = _block_params(spec.params, idx)
         theta.append(_half_sum(((sigma, bx, c1y), (-sigma, by, c1x), (-1, rho, c2x))))
         theta.append(_half_sum(((sigma, rho, c1x), (sigma, bx, c2y), (-sigma, by, c2x))))
         theta.append(_half_sum(((sigma, c1x, c2y), (-sigma, c1y, c2x), (-sigma, rho, bx))))
@@ -291,49 +291,44 @@ def _base_block_rows(rows: dict, dim: int, sigma: int, offset: int) -> None:
     rows[(b, c)] = _row(dim, ((a, TWO if sigma > 0 else MINUS_TWO),))
 
 
-def assemble_family_table(
-    spec: FamilySpec, *, theta_override: Sequence[Fraction] | None = None
-) -> StructureTensor:
-    """Assemble the bracket table without any Jacobi or constraint validation.
+def _family_rows(family: FamilyId, params: Mapping[str, Fraction], theta: Sequence[Fraction]) -> dict:
+    """The bracket rows {(i, j): row}, i < j, of a member whose [X, Y] vertical coefficients are theta.
 
     The B and C components of the [T, X] / [T, Y] rows are scaled by the block
     sign sigma, the pattern the Jacobi identity selects (the unscaled one
-    fails it for sl2r x so2).  `theta_override` substitutes arbitrary [X, Y]
-    vertical coefficients in place of the closed form (used by the
-    theta-solving oracle).
+    fails it for sl2r x so2).  Only +, -, * and truthiness touch the
+    parameters, so they may come from any ring that has them.
     """
-    signs, has_so2 = _BLOCKS[spec.family]
-    dim = family_dimension(spec.family)
+    signs, has_so2 = _BLOCKS[family]
+    dim = family_dimension(family)
     rows: dict = {}
     x_index, y_index = dim - 2, dim - 1
     for idx, sigma in enumerate(signs):
         offset = 3 * idx
         _base_block_rows(rows, dim, sigma, offset)
-        bx, c1x, c2x, by, c1y, c2y = _block_params(spec, idx)
+        bx, c1x, c2x, by, c1y, c2y = _block_params(params, idx)
         _simple_block_rows(rows, dim, sigma, offset, x_index, bx, c1x, c2x)
         _simple_block_rows(rows, dim, sigma, offset, y_index, by, c1y, c2y)
-
-    theta = theta_override if theta_override is not None else closed_form_theta(spec)
-    if len(theta) != dim - 2:
-        raise StructureError(f"theta must have {dim - 2} entries, got {len(theta)}")
-    rows[(x_index, y_index)] = _row(dim, [*enumerate(theta), (x_index, spec.params["rho"])])
-
+    rows[(x_index, y_index)] = _row(dim, [*enumerate(theta), (x_index, params["rho"])])
     if has_so2:
-        t_index = 3
-        p = spec.params
-        sigma = signs[0]
+        t_index, sigma = 3, signs[0]
         for h_index, (u, v, t_diag) in (
-            (x_index, (p["x1"], p["y1"], p["t14"])),
-            (y_index, (p["x2"], p["y2"], p["t24"])),
+            (x_index, (params["x1"], params["y1"], params["t14"])),
+            (y_index, (params["x2"], params["y2"], params["t24"])),
         ):
-            pa = _half_sum(((-1, u, p["c12"]), (-1, v, p["c22"])))
-            qb = _half_sum(((sigma, u, p["c11"]), (sigma, v, p["c21"])))
-            rc = _half_sum(((-sigma, u, p["b11"]), (-sigma, v, p["b21"])))
+            pa = _half_sum(((-1, u, params["c12"]), (-1, v, params["c22"])))
+            qb = _half_sum(((sigma, u, params["c11"]), (sigma, v, params["c21"])))
+            rc = _half_sum(((-sigma, u, params["b11"]), (-sigma, v, params["b21"])))
             rows[(t_index, h_index)] = _row(
                 dim, ((0, pa), (1, qb), (2, rc), (t_index, t_diag), (x_index, u), (y_index, v))
             )
+    return rows
 
-    return StructureTensor.from_rows(dim, rows)
+
+def assemble_family_table(spec: FamilySpec) -> StructureTensor:
+    """The table of _family_rows with the closed-form theta, without any Jacobi or constraint validation."""
+    rows = _family_rows(spec.family, spec.params, closed_form_theta(spec))
+    return StructureTensor.from_rows(family_dimension(spec.family), rows)
 
 
 def build_family(spec: FamilySpec) -> FoliationSetup:
@@ -455,6 +450,20 @@ _RAW_SO2_COEFFS = (
 )
 
 
+def _raw_so2_rows(family: FamilyId, coeffs: Mapping[str, Fraction]) -> dict:
+    """The raw circle ansatz's bracket rows, given every coefficient of _RAW_SO2_COEFFS from any ring."""
+    dim = 6
+    rows: dict = {}
+    _base_block_rows(rows, dim, _BLOCKS[family][0][0], 0)
+    for row_idx, prefix in ((0, "a"), (1, "b"), (2, "c"), (3, "t")):
+        rows[(row_idx, 4)] = _row(dim, [(k, coeffs[f"{prefix}1{k + 1}"]) for k in range(4)])
+        rows[(row_idx, 5)] = _row(dim, [(k, coeffs[f"{prefix}2{k + 1}"]) for k in range(4)])
+    rows[(3, 4)][4:] = coeffs["x1"], coeffs["y1"]
+    rows[(3, 5)][4:] = coeffs["x2"], coeffs["y2"]
+    rows[(4, 5)] = _row(dim, [*enumerate(coeffs[f"theta{k}"] for k in range(1, 5)), (4, coeffs["rho"])])
+    return rows
+
+
 def build_so2_raw_setup(
     family: FamilyId,
     signature: MetricFrame | Sequence[int],
@@ -476,16 +485,4 @@ def build_so2_raw_setup(
     frame = _as_frame(signature)
     if frame.dim != 6:
         raise StructureError("circle-factor families are six dimensional")
-    dim = 6
-    rows: dict = {}
-    _base_block_rows(rows, dim, _BLOCKS[family][0][0], 0)
-    for row_idx, prefix in ((0, "a"), (1, "b"), (2, "c")):
-        rows[(row_idx, 4)] = _row(dim, [(k, v[f"{prefix}1{k + 1}"]) for k in range(4)])
-        rows[(row_idx, 5)] = _row(dim, [(k, v[f"{prefix}2{k + 1}"]) for k in range(4)])
-    rows[(3, 4)] = _row(dim, [(k, v[f"t1{k + 1}"]) for k in range(4)] + [(4, v["x1"]), (5, v["y1"])])
-    rows[(3, 5)] = _row(dim, [(k, v[f"t2{k + 1}"]) for k in range(4)] + [(4, v["x2"]), (5, v["y2"])])
-    rows[(4, 5)] = _row(
-        dim, [(0, v["theta1"]), (1, v["theta2"]), (2, v["theta3"]), (3, v["theta4"]), (4, v["rho"])]
-    )
-    tensor = StructureTensor.from_rows(dim, rows)
-    return FoliationSetup(tensor=tensor, frame=frame, vertical=(0, 1, 2, 3), horizontal=(4, 5))
+    return FoliationSetup(StructureTensor.from_rows(6, _raw_so2_rows(family, v)), frame, (0, 1, 2, 3), (4, 5))

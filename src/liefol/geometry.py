@@ -64,11 +64,12 @@ def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = Tru
 _ZERO_PAIR = (ZERO, ZERO)
 
 
-def _halves(t1: Fraction, t2: Fraction) -> tuple[Fraction, Fraction]:
-    """((t1 + t2)/2, (t1 - t2)/2): entry (same < 0) is (t1 + same*t2)/2 for same = +-1."""
+def _halves(t1: Fraction, t2: Fraction, minus_t2: Fraction) -> tuple[Fraction, Fraction]:
+    """((t1 + t2)/2, (t1 - t2)/2), with minus_t2 = -t2: entry (same < 0) is (t1 + same*t2)/2, same = +-1."""
     # Family tables give zero pairs, opposite pairs, t1 = 0 and equal pairs,
-    # in that order of frequency, and almost never another pair; each of
-    # those shapes needs at most one Fraction operation.
+    # in that order of frequency, and almost never another pair; an
+    # antisymmetric table holds -t2 as t2's mirror entry, so each of those
+    # shapes needs at most one ring operation, and the two most frequent none.
     if not t2:
         if not t1:
             return _ZERO_PAIR
@@ -77,12 +78,11 @@ def _halves(t1: Fraction, t2: Fraction) -> tuple[Fraction, Fraction]:
     if not t1:
         half = t2 * HALF
         return half, -half
-    if t1.denominator == t2.denominator:
-        if t1.numerator == -t2.numerator:
-            return ZERO, t1
-        if t1.numerator == t2.numerator:
-            return t1, ZERO
-    return (t1 + t2) * HALF, (t1 - t2) * HALF
+    if t1 == minus_t2:
+        return ZERO, t1
+    if t1 == t2:
+        return t1, ZERO
+    return (t1 + t2) * HALF, (t1 + minus_t2) * HALF
 
 
 def _sum_nonzero(values) -> Fraction:
@@ -124,11 +124,12 @@ class FrameFreeVertical(NamedTuple):
         for a, i in enumerate(setup.vertical):
             cxi, cyi = cx[i], cy[i]
             for j in setup.vertical[a:]:
-                hx, hy = _halves(cxi[j], cx[j][i]), _halves(cyi[j], cy[j][i])
+                cj = c[j]  # cj[x][i] = -cx[j][i]
+                hx, hy = _halves(cxi[j], cx[j][i], cj[x][i]), _halves(cyi[j], cy[j][i], cj[y][i])
                 pairs.append((i, j, hx, hy))
-        # Sorted by (i, j), also when setup.vertical is not, so first_nonzero
-        # meets the pairs in the order of sorted(form(eps).items()).
-        pairs.sort(key=lambda pair: pair[:2])
+        # Sorted by (i, j), unique per pair, also when setup.vertical is not, so
+        # first_nonzero meets the pairs in the order of sorted(form(eps).items()).
+        pairs.sort()
         same = tuple((i, j) for i, j, hx, hy in pairs if hx[0] or hy[0])
         opposite = tuple((i, j) for i, j, hx, hy in pairs if hx[1] or hy[1])
         return cls(setup.dim, (x, y), tuple(pairs), same, opposite)
@@ -208,9 +209,9 @@ class FrameFreeHorizontal(NamedTuple):
         x, y = setup.horizontal
         entries = []
         for k in setup.vertical:
-            ckx, cky = c[k][x], c[k][y]
+            ckx, cky, cyk = c[k][x], c[k][y], c[y][k]  # cyk = -cky
             xx, yy = ckx[x], cky[y]
-            entries.append((k, xx, yy, _halves(ckx[y], cky[x]), _halves(xx, yy)[0]))
+            entries.append((k, xx, yy, _halves(ckx[y], cky[x], cyk[x]), _halves(xx, yy, cyk[y])[0]))
         return cls(
             dim=setup.dim,
             horizontal=(x, y),

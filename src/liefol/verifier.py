@@ -24,6 +24,7 @@ from .algebra import (
     FoliationSetup,
     MetricFrame,
     StructureError,
+    StructureTensor,
     format_scalar,
     jacobi_residual,
     killing_form,
@@ -33,7 +34,7 @@ from .families import (
     COMPACT_FAMILIES,
     FamilyId,
     FamilySpec,
-    assemble_family_table,
+    _family_rows,
     build_family,
     closed_form_minimal,
     family_basis_names,
@@ -78,6 +79,8 @@ class SweepConfig:
     fixed_signatures: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.family, FamilyId):
+            raise StructureError(f"family must be a FamilyId, got {reprlib.repr(self.family)}")
         # Exactly int: a bool would run as 0/1 but key its stream as "True:0",
         # and a float would run the whole sweep and then fail in to_json.
         for field in ("samples", "seed", "parameter_range"):
@@ -98,10 +101,8 @@ class SweepConfig:
                 raise StructureError("fixed signature mode needs at least one signature")
             for sig in self.fixed_signatures:
                 MetricFrame(tuple(sig))
-                if len(sig) != dim:
-                    raise StructureError(
-                        f"fixed signature {reprlib.repr(sig)} has length {len(sig)}, family needs {dim}"
-                    )
+                if type(sig) is not tuple or len(sig) != dim:  # run_sweep keys its cases by these tuples
+                    raise StructureError(f"fixed signature {reprlib.repr(sig)} is not a {dim}-tuple")
         elif self.fixed_signatures:
             raise StructureError("fixed_signatures only allowed with signature_mode='fixed'")
 
@@ -563,13 +564,12 @@ def oracle_solve_theta(spec: FamilySpec) -> ThetaSolution:
     some probe, in sorted order (the others read 0 = 0).  Independent of
     closed_form_theta.
     """
-    m = family_dimension(spec.family) - 2
+    dim = family_dimension(spec.family)
+    m = dim - 2
     one = Fraction(1)
     probes = [(ZERO,) * m] + [tuple(one if t == pos else ZERO for t in range(m)) for pos in range(m)]
-    residuals = [
-        dict(jacobi_residual(assemble_family_table(spec, theta_override=probe)).violations)
-        for probe in probes
-    ]
+    tables = (StructureTensor.from_rows(dim, _family_rows(spec.family, spec.params, p)) for p in probes)
+    residuals = [dict(jacobi_residual(table).violations) for table in tables]
     entries = sorted(
         {(triple, k) for residual in residuals for triple, vec in residual.items() for k, v in enumerate(vec) if v}
     )

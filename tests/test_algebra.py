@@ -32,6 +32,7 @@ from liefol.families import (
 )
 from liefol.geometry import FrameFreeHorizontal, connection_coefficients
 from liefol.linalg import determinant
+from test_families import theta_table
 
 F = Fraction
 
@@ -224,7 +225,7 @@ class TestJacobiResidual:
         spec = FamilySpec.create("su2", {"b11": 2, "c22": 3})
         theta = list(closed_form_theta(spec))
         theta[0] += 1
-        bad = assemble_family_table(spec, theta_override=tuple(theta))
+        bad = theta_table(spec, theta)
         report = jacobi_residual(bad)
         assert not report.is_zero
         triples = {t for t, _ in report.violations}
@@ -300,7 +301,7 @@ def perturbed_family_tables(draw) -> StructureTensor:
     theta = list(closed_form_theta(spec))
     for index in draw(st.lists(st.integers(0, len(theta) - 1), max_size=2)):
         theta[index] += draw(SMALL_FRACTIONS.filter(bool))
-    return assemble_family_table(spec, theta_override=tuple(theta))
+    return theta_table(spec, theta)
 
 
 class TestJacobiMatchesReference:
@@ -337,7 +338,7 @@ class TestJacobiGate:
         spec = FamilySpec.create("su2", {"b11": 2, "c22": 3})
         theta = list(closed_form_theta(spec))
         theta[0] += 1
-        bad = assemble_family_table(spec, theta_override=tuple(theta))
+        bad = theta_table(spec, theta)
         with pytest.raises(JacobiError) as err:
             require_lie_algebra(bad)
         assert isinstance(err.value, ConstraintError)

@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import random
+import stat
 import sys
 from fractions import Fraction
 
@@ -32,12 +34,11 @@ from liefol.cli import (
 from liefol.families import (
     FamilyId,
     FamilySpec,
-    assemble_family_table,
     build_family,
     closed_form_theta,
     family_dimension,
 )
-from test_families import flip_theta_sign
+from test_families import flip_theta_sign, theta_table
 
 F = Fraction
 
@@ -165,7 +166,7 @@ class TestCheckCommand:
         spec = FamilySpec.create("su2", {"b11": 2, "c22": 3})
         theta = list(closed_form_theta(spec))
         theta[0] += 1
-        tensor = assemble_family_table(spec, theta_override=tuple(theta))
+        tensor = theta_table(spec, theta)
         from liefol.algebra import FoliationSetup
 
         setup = FoliationSetup(tensor, spec.signature, (0, 1, 2), (3, 4))
@@ -399,11 +400,36 @@ class TestFamilyCommand:
             f"error: not an exact rational literal: a numeral of more than {limit} digits\n"
         )
 
+    def test_out_onto_a_fifo_reaches_its_reader(self, tmp_path):
+        fifo = tmp_path / "family.fifo"
+        data = run_onto_fifo(fifo, ["family", "su2", "--out", str(fifo)])
+        assert json.loads(data)["dim"] == 5
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["family.fifo"]
+
     def test_unwritable_out_exits_three(self, tmp_path, capsys):
         out_path = str(tmp_path / "missing" / "f.json")
         assert main(["family", "su2", "--out", out_path]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_onto_fifo(fifo, args) -> bytes:
+    """Run main(args), whose output path is the new FIFO fifo, with a reader open; the bytes it read.
+
+    The reader opens first, without blocking, so the writer's open does not
+    wait; the output is small enough for the pipe buffer.
+    """
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(args) == EXIT_OK
+        chunks = []
+        while chunk := os.read(reader, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(reader)
+    return b"".join(chunks)
 
 
 class TestSweepCommand:
@@ -495,6 +521,14 @@ class TestSweepCommand:
         assert main(["sweep", "su2", "--samples", "1", "--json", str(tmp_path)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_json_onto_a_fifo_reaches_its_reader(self, tmp_path, capsys):
+        fifo = tmp_path / "report.fifo"
+        args = ["sweep", "su2", "--samples", "1", "--signatures", "riemannian-only", "--json", str(fifo)]
+        data = run_onto_fifo(fifo, args)
+        assert json.loads(data)["totalCases"] == 1
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
 
     def test_deterministic_json_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -27,20 +27,31 @@ from liefol.geometry import classify
 F = Fraction
 
 
-def rejected_sl2rxso2_table(spec, *, theta_override=None):
+def theta_table(spec, theta=None, *, unscaled_t_rows=False):
+    """spec's bracket table from families._family_rows, unvalidated, with [X, Y] vertical coefficients theta.
+
+    theta defaults to the closed form.  unscaled_t_rows leaves the B and C
+    components of the [T, X] and [T, Y] rows unscaled by the block sign, that
+    is, negates them for sl2r x so2 (see rejected_sl2rxso2_table).
+    """
+    dim = family_dimension(spec.family)
+    theta = closed_form_theta(spec) if theta is None else theta
+    rows = families._family_rows(spec.family, spec.params, theta)
+    if unscaled_t_rows:
+        for h_index in (dim - 2, dim - 1):
+            row = rows[(3, h_index)]
+            row[1], row[2] = -row[1], -row[2]
+    return StructureTensor.from_rows(dim, rows)
+
+
+def rejected_sl2rxso2_table(spec, theta=None):
     """sl2r x so2 with the sign pattern the Jacobi identity rejects, unvalidated.
 
     assemble_family_table scales the B and C components of the [T, X] and
     [T, Y] rows by the block sign, -1 for sl2r; this table leaves them
     unscaled, that is, negates them.
     """
-    table = assemble_family_table(spec, theta_override=theta_override)
-    dim, t_index = table.dim, 3
-    rows = {(i, j): list(table.c[i][j]) for i in range(dim) for j in range(i + 1, dim)}
-    for h_index in (dim - 2, dim - 1):
-        row = rows[(t_index, h_index)]
-        row[1], row[2] = -row[1], -row[2]
-    return StructureTensor.from_rows(dim, rows)
+    return theta_table(spec, theta, unscaled_t_rows=True)
 
 ALL_FAMILIES = list(FamilyId)
 SEMISIMPLE = [FamilyId.SU2, FamilyId.SL2R, FamilyId.SU2xSU2, FamilyId.SU2xSL2R]

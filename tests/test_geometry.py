@@ -263,7 +263,7 @@ class TestHalves:
     @given(pair=coefficient_pairs())
     def test_halves_are_the_half_sum_and_difference(self, pair):
         t1, t2 = pair
-        halves = _halves(t1, t2)
+        halves = _halves(t1, t2, -t2)
         assert halves == ((t1 + t2) / 2, (t1 - t2) / 2)
         assert all(type(h) is Fraction for h in halves)
 

@@ -20,7 +20,6 @@ from liefol.algebra import (
 from liefol.families import (
     FamilyId,
     FamilySpec,
-    assemble_family_table,
     build_family,
     build_so2_raw_setup,
     closed_form_minimal,
@@ -54,7 +53,7 @@ from liefol.verifier import (
     _draw_cases,
     _sample_rng,
 )
-from test_families import rejected_sl2rxso2_table
+from test_families import rejected_sl2rxso2_table, theta_table
 
 F = Fraction
 
@@ -125,10 +124,10 @@ class TestThetaOracle:
                 assert sol.free_directions[0][:3] == (F(0), F(0), F(0))
 
 
-def dense_theta_solution(spec, build=assemble_family_table):
+def dense_theta_solution(spec, build=theta_table):
     """Reference for oracle_solve_theta: one equation per component of every triple i < j < k.
 
-    `build(spec, theta_override=...)` assembles the tables; the default is the oracle's.
+    `build(spec, theta)` assembles the tables; the default builds the oracle's.
     """
 
     def flat(tensor):
@@ -143,11 +142,11 @@ def dense_theta_solution(spec, build=assemble_family_table):
         return out
 
     m = family_dimension(spec.family) - 2
-    base = flat(build(spec, theta_override=(F(0),) * m))
+    base = flat(build(spec, (F(0),) * m))
     columns = []
     for pos in range(m):
         probe = tuple(F(1) if t == pos else F(0) for t in range(m))
-        probed = flat(build(spec, theta_override=probe))
+        probed = flat(build(spec, probe))
         columns.append([f - b for f, b in zip(probed, base)])
     rows = [[columns[c][r] for c in range(m)] for r in range(len(base))]
     solution = solve_linear_system(rows, [-b for b in base])
@@ -183,9 +182,9 @@ class TestThetaOracleMatchesDenseSystem:
             # sl2r x so2 with the rejected [T, .] sign pattern.
             ("sl2rxso2", {"x1": 1, "y2": 1, "c11": 1}, rejected_sl2rxso2_table, "infeasible"),
             # The circle stratum x1 = 0: theta4 is free.
-            ("su2xso2", {"b11": 1, "c22": F(1, 2), "t14": 1}, assemble_family_table, "affine"),
-            ("sl2rxso2", {"b21": 2, "c12": F(-1, 3), "rho": 1}, assemble_family_table, "affine"),
-            ("su2xso2", {"x2": 1, "y1": -1, "t14": 1}, assemble_family_table, "infeasible"),
+            ("su2xso2", {"b11": 1, "c22": F(1, 2), "t14": 1}, theta_table, "affine"),
+            ("sl2rxso2", {"b21": 2, "c12": F(-1, 3), "rho": 1}, theta_table, "affine"),
+            ("su2xso2", {"x2": 1, "y1": -1, "t14": 1}, theta_table, "infeasible"),
         ],
         # "ty" marks the rejected pattern's table and "tx" the oracle's.
         ids=[
@@ -199,7 +198,7 @@ class TestThetaOracleMatchesDenseSystem:
         spec = FamilySpec.create(family, params)
         solution = dense_theta_solution(spec, build)
         assert solution.status == status
-        if build is assemble_family_table:
+        if build is theta_table:
             assert oracle_solve_theta(spec) == solution
 
 
@@ -231,6 +230,16 @@ class TestSignatureEnumeration:
             SweepConfig(family=FamilyId.SU2, samples=0, seed=0)
         with pytest.raises(StructureError):
             SweepConfig(family=FamilyId.SU2, samples=1, seed=0, parameter_range=0)
+        # run_sweep needs a FamilyId and hashable signatures.
+        with pytest.raises(StructureError):
+            SweepConfig(family="su2", samples=1, seed=0)
+        with pytest.raises(StructureError):
+            SweepConfig(family="bogus", samples=1, seed=0)
+        with pytest.raises(StructureError):
+            SweepConfig(
+                family=FamilyId.SU2, samples=1, seed=0, signature_mode="fixed",
+                fixed_signatures=([1, 1, 1, 1, 1],),
+            )
 
     @pytest.mark.parametrize("value", [True, False, 1.0, 2.5])
     @pytest.mark.parametrize("field", ["samples", "seed", "parameter_range"])
