@@ -16,8 +16,9 @@ circle-family sampler found no feasible draw.
 
 Output files (`family --out`, `sweep --json`) are written to a temporary file
 next to the path and renamed onto it, so the path never holds a partial file.
-A path that exists and is not a regular file (a FIFO or a device) is written
-in place, so a reader on the FIFO gets the output.
+A symlinked path is written through: the link stays and its target gets the
+output.  A path that exists and is not a regular file (a FIFO or a device) is
+written in place, so a reader on the FIFO gets the output.
 """
 
 from __future__ import annotations
@@ -325,15 +326,18 @@ def cmd_family(args) -> int:
 def _output_file(path: str):
     """A temporary file next to path, renamed onto it if the block succeeds and removed otherwise.
 
-    An existing path that is not a regular file (a FIFO, a device) is written
-    in place.  The file is opened on entry, so an unusable path fails before
-    the block runs; that and a failed write or rename are a ParseError.
+    Symlinks are resolved first, so the output goes to the link's target (a
+    dangling link creates it) and the link stays.  An existing path that is
+    not a regular file (a FIFO, a device) is written in place.  The file is
+    opened on entry, so an unusable path fails before the block runs; that and
+    a failed write or rename are a ParseError naming path as given.
     """
     if os.path.isdir(path):
         raise ParseError(path, "is a directory")
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    directory, name = os.path.split(os.path.abspath(path))
-    target = path if in_place else os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    real = os.path.realpath(path)
+    in_place = os.path.exists(real) and not os.path.isfile(real)
+    directory, name = os.path.split(real)
+    target = real if in_place else os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         out = open(target, "w" if in_place else "x", encoding="utf-8")
     except OSError as exc:
@@ -342,7 +346,7 @@ def _output_file(path: str):
         with out:
             yield out
         if not in_place:
-            os.replace(target, path)
+            os.replace(target, real)
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None
     finally:
@@ -352,17 +356,11 @@ def _output_file(path: str):
 
 
 def _signature_config(args, family: FamilyId) -> SweepConfig:
-    mode = "all"
-    fixed: tuple[tuple[int, ...], ...] = ()
-    if args.signatures:
-        chunks = args.signatures
-        if chunks == ["all"]:
-            mode = "all"
-        elif chunks == ["riemannian-only"]:
-            mode = "riemannian-only"
-        else:
-            mode = "fixed"
-            fixed = tuple(_parse_epsilon(chunk, "--signatures") for chunk in chunks)
+    chunks = args.signatures or ["all"]
+    if chunks in (["all"], ["riemannian-only"]):
+        mode, fixed = chunks[0], ()
+    else:
+        mode, fixed = "fixed", tuple(_parse_epsilon(chunk, "--signatures") for chunk in chunks)
     return SweepConfig(
         family=family,
         samples=args.samples,
@@ -474,6 +472,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {message if len(message) <= 200 else message[:197] + '...'}\n")
 
 
+def _add_sweep_options(parser: argparse.ArgumentParser, samples: int) -> None:
+    """The family and sampling arguments of sweep and counterexample; only the --samples default differs."""
+    parser.add_argument("family")
+    parser.add_argument("--samples", type=_ascii_int, default=samples)
+    parser.add_argument("--seed", type=_ascii_int, default=0)
+    parser.add_argument("--range", type=_ascii_int, default=10, help="bound for rational numerators/denominators")
+    parser.add_argument(
+        "--signatures",
+        nargs="+",
+        action="extend",
+        default=[],
+        help="'all' (the default), 'riemannian-only', or one or more comma-separated epsilon lists",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="liefol",
@@ -496,32 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.set_defaults(func=cmd_family)
 
     p_sweep = sub.add_parser("sweep", help="randomized classification sweep with closed-form cross-check")
-    p_sweep.add_argument("family")
-    p_sweep.add_argument("--samples", type=_ascii_int, default=100)
-    p_sweep.add_argument("--seed", type=_ascii_int, default=0)
-    p_sweep.add_argument("--range", type=_ascii_int, default=10, help="bound for rational numerators/denominators")
-    p_sweep.add_argument(
-        "--signatures",
-        nargs="*",
-        action="extend",
-        default=[],
-        help="'all', 'riemannian-only', or one or more comma-separated epsilon lists",
-    )
+    _add_sweep_options(p_sweep, samples=100)
     p_sweep.add_argument("--json", help="write the machine-readable report here")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ce = sub.add_parser("counterexample", help="search for conformal, non-totally-geodesic instances")
-    p_ce.add_argument("family")
-    p_ce.add_argument("--samples", type=_ascii_int, default=200)
-    p_ce.add_argument("--seed", type=_ascii_int, default=0)
-    p_ce.add_argument("--range", type=_ascii_int, default=10)
-    p_ce.add_argument(
-        "--signatures",
-        nargs="*",
-        action="extend",
-        default=[],
-        help="'all', 'riemannian-only', or one or more comma-separated epsilon lists",
-    )
+    _add_sweep_options(p_ce, samples=200)
     p_ce.add_argument("--max-print", type=_ascii_int, default=5)
     p_ce.set_defaults(func=cmd_counterexample)
     return parser

@@ -17,7 +17,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     ZERO,
@@ -282,27 +282,33 @@ def _draw_scalar(rng: random.Random, bound: int) -> Fraction:
     return Fraction(p, q) if p else ZERO
 
 
-def _draw_semisimple_params(rng: random.Random, family: FamilyId, bound: int) -> dict:
-    return {name: _draw_scalar(rng, bound) for name in family_parameter_names(family)}
-
-
 # The circle sampler's draws, in stream order; theta4 is the free value, used when x1 = 0.
 _SO2_DRAWN = ("b11", "b21", "c11", "c12", "c21", "c22", "rho", "x1", "y1", "t14", "t24", "theta4")
 
 
-def _draw_so2_params(
+def _draw_params(
     rng: random.Random, family: FamilyId, bound: int, classes: Sequence[int]
-) -> tuple[dict, dict, int]:
-    """Rejection-sample the Jacobi-feasible stratum; returns (params, x2 per
-    eps_X*eps_Y class, rejected attempts).
+) -> tuple[list[tuple[dict[str, Fraction], tuple[int, ...]]], int]:
+    """Draw one member of family for the eps_X*eps_Y classes; returns (draws, rejected attempts).
 
-    Each attempt is tested on integers: rho, x1, y1, t14 and t24 times the lcm
-    L of their denominators, and for x1 != 0 times 2*x1 as well, which makes
-    theta4 = rho*t14/(2*x1) the integer rho*t14.  Every circle relation is
-    homogeneous (degree 1 or 2, theta4 counting as degree 1), so scaling by a
-    nonzero number keeps each one true or false; Fractions are built for the
+    draws lists (params, the classes they serve), params being Fractions keyed
+    in family_parameter_names order.  A semisimple family's table does not
+    depend on the signature: one entry serves every class, and nothing is
+    rejected.  A circle family is rejection-sampled on its Jacobi-feasible
+    stratum, an attempt being accepted only if it is feasible for every class,
+    and gives one entry per class, in classes order, with y2 = x1 and
+    x2 = -s*y1.
+
+    Each circle attempt is tested on integers: rho, x1, y1, t14 and t24 times
+    the lcm L of their denominators, and for x1 != 0 times 2*x1 as well, which
+    makes theta4 = rho*t14/(2*x1) the integer rho*t14.  Every circle relation
+    is homogeneous (degree 1 or 2, theta4 counting as degree 1), so scaling by
+    a nonzero number keeps each one true or false; Fractions are built for the
     accepted draw only.
     """
+    names = family_parameter_names(family)
+    if family not in CIRCLE_FAMILIES:
+        return [({name: _draw_scalar(rng, bound) for name in names}, tuple(classes))], 0
     attempts = 0
     while True:
         pairs = [_draw_pair(rng, bound) for _ in _SO2_DRAWN]
@@ -328,16 +334,15 @@ def _draw_so2_params(
                 f"{family.value}: no feasible circle-family draw in {SO2_MAX_ATTEMPTS} attempts"
             )
     drawn = {name: Fraction(p, q) if p else ZERO for name, (p, q) in zip(_SO2_DRAWN, pairs)}
-    base = {name: drawn[name] for name in _SO2_DRAWN[:9]}
-    base.update(y2=drawn["x1"], t14=drawn["t14"], t24=drawn["t24"])
-    # Back in drawn units; a zero is the shared ZERO, as every drawn zero is.
-    base["theta4"] = (Fraction(theta4, m * scale) if theta4 else ZERO) if x1 else drawn["theta4"]
+    drawn["y2"] = drawn["x1"]
+    if x1:  # back in drawn units; a zero is the shared ZERO, as every drawn zero is
+        drawn["theta4"] = Fraction(theta4, m * scale) if theta4 else ZERO
     y1 = drawn["y1"]
-    return base, {s: -y1 if s > 0 and y1 else y1 for s in classes}, attempts
-
-
-def _ordered_params(family: FamilyId, params: dict) -> dict:
-    return {name: params[name] for name in family_parameter_names(family)}
+    draws = []
+    for s in classes:
+        drawn["x2"] = -y1 if s > 0 and y1 else y1
+        draws.append(({name: drawn[name] for name in names}, (s,)))
+    return draws, attempts
 
 
 def _describe(family: FamilyId, params_text: dict, signature: list[int]) -> dict:
@@ -360,17 +365,30 @@ def _witness_entry(
     return entry
 
 
-def _draw_cases(config: SweepConfig):
-    """Yield (rejected circle draws, builds) per draw, a build being (setup, cases).
+class _Case(NamedTuple):
+    """What the signatures of one eps_X*eps_Y class of a draw share (see _draw_cases).
 
-    Each draw is built and validated once (once per eps_X*eps_Y class for the
-    circle families, whose x2 depends on it); cases maps each class the build
-    serves to the case its signatures share.  A case is (params, formatted
-    params, horizontal forms, vertical forms, geometric (conformal,
-    semi-Riemannian, minimal), closed-form (semi-Riemannian, minimal), whether
-    those two agree, closed-form totally-geodesic conditions with a nonzero
-    parameter factor).  Per signature only total geodesy is left to pick, on
-    both sides.
+    A NamedTuple for the reason FrameFreeVertical is one: cheap to define at import.
+    """
+
+    setup: FoliationSetup
+    params: dict[str, Fraction]
+    params_text: dict[str, str]
+    horizontal: FrameFreeHorizontal
+    vertical: FrameFreeVertical
+    flags: tuple[bool, bool, bool]  # geometric: conformal, semi-Riemannian, minimal
+    closed: tuple[bool, bool]  # closed form: semi-Riemannian, minimal
+    agrees: bool  # conformal, and the geometric flags equal the closed forms
+    conditions: tuple  # closed-form totally-geodesic conditions with a nonzero parameter factor
+
+
+def _draw_cases(config: SweepConfig):
+    """Yield (rejected circle attempts, cases) per draw, cases mapping each eps_X*eps_Y class to its _Case.
+
+    Each entry of a _draw_params draw is built and validated once: once per
+    draw for the semisimple families, once per class for the circle families,
+    whose x2 depends on it.  Per signature only total geodesy is left to pick,
+    on both sides.
     """
     family = config.family
     # The first signature of each eps_X*eps_Y class stands for that class.
@@ -380,30 +398,20 @@ def _draw_cases(config: SweepConfig):
     frames = {s: MetricFrame(eps) for s, eps in class_eps.items()}
     for index in range(config.samples):
         rng = _sample_rng(config.seed, index)
-        if family in CIRCLE_FAMILIES:
-            base, x2_by_class, attempts = _draw_so2_params(
-                rng, family, config.parameter_range, tuple(sorted(frames))
-            )
-            draws = [(_ordered_params(family, {**base, "x2": x2_by_class[s]}), (s,)) for s in frames]
-        else:
-            attempts = 0
-            draws = [(_draw_semisimple_params(rng, family, config.parameter_range), tuple(frames))]
-        builds = []
-        for drawn, classes in draws:
-            spec = FamilySpec.create(family, drawn, frames[classes[0]])
+        draws, attempts = _draw_params(rng, family, config.parameter_range, tuple(frames))
+        cases = {}
+        for params, classes in draws:
+            spec = FamilySpec(family, params, frames[classes[0]])
             setup = build_family(spec)
             horizontal, vertical = FrameFreeHorizontal.from_setup(setup), FrameFreeVertical.from_setup(setup)
-            params = spec.params
             params_text = {name: format_scalar(value) for name, value in params.items()}
             conditions = tuple(nonzero_tg_conditions(family, params))
             closed = (params["x1"] == 0 if family in CIRCLE_FAMILIES else True, closed_form_minimal(spec))
-            cases = {}
             for s in classes:
                 conformal, semi, minimal = flags = horizontal.flags(class_eps[s])
                 agrees = conformal and (semi, minimal) == closed
-                cases[s] = (params, params_text, horizontal, vertical, flags, closed, agrees, conditions)
-            builds.append((setup, cases))
-        yield attempts, builds
+                cases[s] = _Case(setup, params, params_text, horizontal, vertical, flags, closed, agrees, conditions)
+        yield attempts, cases
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -428,22 +436,21 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     resampled = 0
     total = n_conformal = n_semi = n_minimal = n_geodesic = 0
 
-    for attempts, builds in _draw_cases(config):
+    for attempts, cases in _draw_cases(config):
         resampled += attempts
-        cases = {s: case for _, by_class in builds for s, case in by_class.items()}
         for eps in signatures:
-            _, params_text, horizontal, vertical, flags, closed, agrees, conditions = cases[eps[-2] * eps[-1]]
-            conformal, semi, minimal = flags
-            geodesic = vertical.totally_geodesic(eps)
-            violated = first_violated_condition(conditions, eps)
+            case = cases[eps[-2] * eps[-1]]
+            conformal, semi, minimal = case.flags
+            geodesic = case.vertical.totally_geodesic(eps)
+            violated = first_violated_condition(case.conditions, eps)
             total += 1
             n_conformal += conformal
             n_semi += semi
             n_minimal += minimal
             n_geodesic += geodesic
 
-            if not agrees or geodesic != (violated is None):
-                entry = _describe(family, params_text, signature_lists[eps])
+            if not case.agrees or geodesic != (violated is None):
+                entry = _describe(family, case.params_text, signature_lists[eps])
                 entry["geometric"] = {
                     "conformal": conformal,
                     "semiRiemannian": semi,
@@ -452,8 +459,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 }
                 entry["closedForm"] = {
                     "conformal": True,
-                    "semiRiemannian": closed[0],
-                    "minimal": closed[1],
+                    "semiRiemannian": case.closed[0],
+                    "minimal": case.closed[1],
                     "totallyGeodesic": violated is None,
                 }
                 disagreements.append(entry)
@@ -462,16 +469,16 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 if not geodesic:
                     tg_count += 1
                     if len(tg_details) < DETAIL_CAP:
-                        entry = _describe(family, params_text, signature_lists[eps])
-                        detail = _witness_entry(entry, names, violated, vertical.first_nonzero(eps))
+                        entry = _describe(family, case.params_text, signature_lists[eps])
+                        detail = _witness_entry(entry, names, violated, case.vertical.first_nonzero(eps))
                         detail["compactType"] = compact_type
                         tg_details.append(detail)
                 if not minimal:
                     minimality_count += 1
                     if len(minimality_details) < DETAIL_CAP:
-                        detail = _describe(family, params_text, signature_lists[eps])
+                        detail = _describe(family, case.params_text, signature_lists[eps])
                         detail["meanCurvature"] = [
-                            format_scalar(v) for v in horizontal.mean_curvature(eps)
+                            format_scalar(v) for v in case.horizontal.mean_curvature(eps)
                         ]
                         minimality_details.append(detail)
 
@@ -514,26 +521,27 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
     signatures = enumerate_signatures(config)
     names = family_basis_names(family)
     results: list[dict] = []
-    for _, builds in _draw_cases(config):
-        ((setup, cases),) = builds
+    for _, cases in _draw_cases(config):
         compact_type = None
         for eps in signatures:
-            _, params_text, _, vertical, (conformal, _, minimal), _, _, conditions = cases[eps[-2] * eps[-1]]
-            if not conformal or vertical.totally_geodesic(eps):
+            case = cases[eps[-2] * eps[-1]]
+            conformal, _, minimal = case.flags
+            if not conformal or case.vertical.totally_geodesic(eps):
                 continue
+            setup = case.setup
             hit = FoliationSetup(setup.tensor, MetricFrame(eps), setup.vertical, setup.horizontal)
             report = classify(hit, require_jacobi=False)
             if (report.conformal, report.totally_geodesic, report.minimal) != (True, False, minimal):
                 raise ReverificationError(
-                    f"{family.value} params {params_text} signature {list(eps)}: classify gives "
+                    f"{family.value} params {case.params_text} signature {list(eps)}: classify gives "
                     f"conformal={report.conformal}, totally geodesic={report.totally_geodesic}, "
                     f"minimal={report.minimal}, not the search's True, False, {minimal}"
                 )
             if compact_type is None:
                 compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
-            violated = first_violated_condition(conditions, eps)
+            violated = first_violated_condition(case.conditions, eps)
             witness = next((item for item in sorted(report.bv.items()) if any(item[1])), None)
-            entry = _witness_entry(_describe(family, params_text, list(eps)), names, violated, witness)
+            entry = _witness_entry(_describe(family, case.params_text, list(eps)), names, violated, witness)
             entry["compactType"] = compact_type
             entry["semisimpleVertical"] = True
             entry["minimal"] = report.minimal
@@ -579,8 +587,6 @@ def oracle_solve_theta(spec: FamilySpec) -> ThetaSolution:
     )
     rows = [[unit[r] - b for unit in units] for r, b in enumerate(base)]
     solution = solve_linear_system(rows, [-b for b in base])
-    if solution.status == "infeasible":
-        return ThetaSolution("infeasible", None, ())
     return ThetaSolution(solution.status, solution.particular, solution.nullspace)
 
 

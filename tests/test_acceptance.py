@@ -35,8 +35,7 @@ from liefol.verifier import (
     oracle_conformal_from_definition,
     oracle_solve_theta,
     run_sweep,
-    _draw_semisimple_params,
-    _draw_so2_params,
+    _draw_params,
     _sample_rng,
 )
 
@@ -60,11 +59,8 @@ def criterion(label: str, detail: str = ""):
 
 
 def draw_spec(family: FamilyId, rng: random.Random, signature, bound: int = 10) -> FamilySpec:
-    if family in CIRCLE:
-        s = signature[-2] * signature[-1]
-        base, x2s, _ = _draw_so2_params(rng, family, bound, (s,))
-        return FamilySpec.create(family, {**base, "x2": x2s[s]}, signature)
-    return FamilySpec.create(family, _draw_semisimple_params(rng, family, bound), signature)
+    [(params, _)], _ = _draw_params(rng, family, bound, (signature[-2] * signature[-1],))
+    return FamilySpec.create(family, params, signature)
 
 
 # -- shared heavy sweeps ------------------------------------------------------
@@ -119,18 +115,18 @@ def test_a1_jacobi_closure_all_families():
             rng = random.Random(f"a1-{family.value}")
             for _ in range(1000):
                 if family in CIRCLE:
-                    base, x2s, _ = _draw_so2_params(rng, family, 10, (1, -1))
-                    for s in (1, -1):
+                    draws, _ = _draw_params(rng, family, 10, (1, -1))
+                    for params, (s,) in draws:
                         sig_a = (1,) * (dim - 1) + (s,)
                         sig_b = (-1,) * 3 + (1,) * (dim - 4) + (s,)
-                        spec_a = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig_a)
-                        spec_b = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig_b)
+                        spec_a = FamilySpec.create(family, params, sig_a)
+                        spec_b = FamilySpec.create(family, params, sig_b)
                         tensor = build_family(spec_a).tensor
                         # same eps_X*eps_Y class => identical table
                         assert build_family(spec_b).tensor == tensor
                         assert jacobi_residual(tensor).is_zero
                 else:
-                    params = _draw_semisimple_params(rng, family, 10)
+                    [(params, _)], _ = _draw_params(rng, family, 10, (1, -1))
                     tensors = {
                         build_family(FamilySpec.create(family, params, sig)).tensor
                         for sig in probe_signatures
@@ -147,16 +143,10 @@ def test_a1_literal_signature_cross_product():
             dim = family_dimension(family)
             rng = random.Random(f"a1lit-{family.value}")
             for _ in range(20):
-                if family in CIRCLE:
-                    base, x2s, _ = _draw_so2_params(rng, family, 8, (1, -1))
-                else:
-                    params = _draw_semisimple_params(rng, family, 8)
+                draws, _ = _draw_params(rng, family, 8, (1, -1))
+                by_class = {s: params for params, classes in draws for s in classes}
                 for sig in itertools.product((1, -1), repeat=dim):
-                    if family in CIRCLE:
-                        s = sig[-2] * sig[-1]
-                        spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
-                    else:
-                        spec = FamilySpec.create(family, params, sig)
+                    spec = FamilySpec.create(family, by_class[sig[-2] * sig[-1]], sig)
                     assert jacobi_residual(build_family(spec).tensor).is_zero
 
 
@@ -201,7 +191,7 @@ def test_a3_sl2r_riemannian_obstructions(riemannian_reports):
         refuted = 0
         for index in range(1000):
             rng = _sample_rng(SEED + 1, index)
-            params = _draw_semisimple_params(rng, FamilyId.SL2R, 10)
+            [(params, _)], _ = _draw_params(rng, FamilyId.SL2R, 10, (1,))
             spec = FamilySpec.create(FamilyId.SL2R, params, sig)
             tg = classify(build_family(spec)).totally_geodesic
             if params["b11"] or params["c11"]:

@@ -38,6 +38,7 @@ from liefol.families import (
     closed_form_theta,
     family_dimension,
 )
+from liefol.verifier import _draw_params
 from test_families import flip_theta_sign, theta_table
 
 F = Fraction
@@ -63,17 +64,10 @@ class TestDocumentRoundTrip:
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_families_round_trip_exactly(self, family):
         rng = random.Random(f"cli-{family.value}")
-        from liefol.verifier import _draw_semisimple_params, _draw_so2_params
-
         dim = family_dimension(family)
         sig = tuple(rng.choice((1, -1)) for _ in range(dim))
-        if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
-            s = sig[-2] * sig[-1]
-            base, x2s, _ = _draw_so2_params(rng, family, 9, (s,))
-            spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
-        else:
-            spec = FamilySpec.create(family, _draw_semisimple_params(rng, family, 9), sig)
-        setup = build_family(spec)
+        [(params, _)], _ = _draw_params(rng, family, 9, (sig[-2] * sig[-1],))
+        setup = build_family(FamilySpec.create(family, params, sig))
         doc = setup_to_document(setup, meta={"family": family.value})
         parsed, meta = document_to_setup(json.loads(json.dumps(doc)))
         assert parsed == setup
@@ -432,6 +426,30 @@ def run_onto_fifo(fifo, args) -> bytes:
     return b"".join(chunks)
 
 
+# Per command: the argv before the output path, and a field of the output with its value.
+OUTPUT_RUNS = {
+    "family": (["family", "su2", "--out"], "dim", 5),
+    "sweep": (["sweep", "su2", "--samples", "1", "--signatures", "riemannian-only", "--json"], "totalCases", 1),
+}
+
+
+class TestOutputThroughSymlink:
+    """An output path that is a symlink keeps the link, and its target gets the output."""
+
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["existing-target", "dangling-link"])
+    @pytest.mark.parametrize("command", ["family", "sweep"])
+    def test_link_stays_and_target_gets_the_output(self, command, target_exists, tmp_path, capsys):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        if target_exists:
+            target.write_text("previous\n")
+        link.symlink_to("target.json")
+        argv, field, value = OUTPUT_RUNS[command]
+        assert main([*argv, str(link)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == "target.json"
+        assert json.loads(target.read_text())[field] == value
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
 class TestSweepCommand:
     def test_summary_and_json(self, tmp_path, capsys):
         json_path = str(tmp_path / "report.json")
@@ -682,8 +700,10 @@ class TestUsageErrors:
             (["sweep", "su2", "--samples", "abc"], "argument --samples: expected an ASCII integer, got 'abc'"),
             (["bogus"], "argument command: invalid choice: 'bogus'"),
             (["check"], "the following arguments are required: path"),
+            (["sweep", "su2", "--signatures"], "argument --signatures: expected at least one argument"),
+            (["counterexample", "su2", "--signatures"], "argument --signatures: expected at least one argument"),
         ],
-        ids=["sweep", "bogus", "check"],
+        ids=["sweep", "bogus", "check", "sweep-bare-signatures", "counterexample-bare-signatures"],
     )
     def test_usage_errors_exit_three_with_one_line(self, argv, message, capsys):
         assert usage_exit(argv) == EXIT_PARSE

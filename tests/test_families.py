@@ -23,6 +23,7 @@ from liefol.families import (
     totally_geodesic_conditions,
 )
 from liefol.geometry import classify
+from liefol.verifier import _draw_params
 
 F = Fraction
 
@@ -151,15 +152,12 @@ class TestBuildFamily:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_random_draws_satisfy_jacobi(self, family):
-        from liefol.verifier import _draw_semisimple_params, _draw_so2_params
-
         rng = random.Random(f"families-{family.value}")
         for _ in range(25):
             if family in CIRCLE:
                 sig = tuple(rng.choice((1, -1)) for _ in range(6))
-                s = sig[-2] * sig[-1]
-                base, x2s, _ = _draw_so2_params(rng, family, 8, (s,))
-                spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
+                [(params, _)], _ = _draw_params(rng, family, 8, (sig[-2] * sig[-1],))
+                spec = FamilySpec.create(family, params, sig)
             else:
                 dim = family_dimension(family)
                 sig = tuple(rng.choice((1, -1)) for _ in range(dim))
@@ -315,20 +313,12 @@ class TestClosedFormTotallyGeodesic:
 
     def test_condition_labels_match_fast_predicate(self):
         rng = random.Random(12)
-        from liefol.verifier import _draw_semisimple_params, _draw_so2_params
-
         for family in ALL_FAMILIES:
             for _ in range(10):
                 dim = family_dimension(family)
                 sig = tuple(rng.choice((1, -1)) for _ in range(dim))
-                if family in CIRCLE:
-                    s = sig[-2] * sig[-1]
-                    base, x2s, _ = _draw_so2_params(rng, family, 5, (s,))
-                    spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
-                else:
-                    spec = FamilySpec.create(
-                        family, _draw_semisimple_params(rng, family, 5), sig
-                    )
+                [(params, _)], _ = _draw_params(rng, family, 5, (sig[-2] * sig[-1],))
+                spec = FamilySpec.create(family, params, sig)
                 listed = all(v == 0 for _, v in totally_geodesic_conditions(spec))
                 assert listed == closed_form_totally_geodesic(spec)
 

@@ -35,6 +35,7 @@ from liefol.geometry import (
     second_fundamental_form_vertical_via_connection,
 )
 from liefol.linalg import determinant, solve_linear_system
+from liefol.verifier import _draw_params
 from test_algebra import huge_non_lie_table
 
 F = Fraction
@@ -47,14 +48,7 @@ def abelian_setup(dim=4) -> FoliationSetup:
 
 def family_member(family: FamilyId, rng: random.Random, signature: tuple[int, ...]) -> FamilySpec:
     """A seeded member of the family; circle families draw from their feasible stratum."""
-    from liefol.verifier import _draw_semisimple_params, _draw_so2_params
-
-    if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
-        s = signature[-2] * signature[-1]
-        base, x2_by_class, _ = _draw_so2_params(rng, family, 6, (s,))
-        params = {**base, "x2": x2_by_class[s]}
-    else:
-        params = _draw_semisimple_params(rng, family, 6)
+    [(params, _)], _ = _draw_params(rng, family, 6, (signature[-2] * signature[-1],))
     return FamilySpec.create(family, params, signature)
 
 

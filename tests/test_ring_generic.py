@@ -31,7 +31,7 @@ from liefol.families import (
     so2_failed_relation,
 )
 from liefol.geometry import FrameFreeHorizontal, FrameFreeVertical
-from liefol.verifier import _draw_semisimple_params, _draw_so2_params
+from liefol.verifier import _draw_params
 
 F = Fraction
 
@@ -110,12 +110,8 @@ def seeded_specs(family: FamilyId, count: int):
     dim = family_dimension(family)
     for _ in range(count):
         sig = tuple(rng.choice((1, -1)) for _ in range(dim))
-        if family in CIRCLE_FAMILIES:
-            s = sig[-2] * sig[-1]
-            base, x2s, _ = _draw_so2_params(rng, family, 6, (s,))
-            yield FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
-        else:
-            yield FamilySpec.create(family, _draw_semisimple_params(rng, family, 6), sig)
+        [(params, _)], _ = _draw_params(rng, family, 6, (sig[-2] * sig[-1],))
+        yield FamilySpec.create(family, params, sig)
 
 
 class TestRingGeneric:

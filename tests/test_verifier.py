@@ -18,6 +18,7 @@ from liefol.algebra import (
     killing_form,
 )
 from liefol.families import (
+    CIRCLE_FAMILIES,
     FamilyId,
     FamilySpec,
     build_family,
@@ -33,7 +34,6 @@ from liefol.families import (
     so2_failed_relation,
 )
 from liefol.geometry import (
-    FrameFreeVertical,
     classify,
     second_fundamental_form_vertical,
     second_fundamental_form_vertical_via_connection,
@@ -43,14 +43,14 @@ from liefol.verifier import (
     ReverificationError,
     SamplingError,
     SweepConfig,
+    ThetaSolution,
     enumerate_signatures,
     find_conjecture_counterexamples,
     oracle_conformal_from_definition,
     oracle_solve_theta,
     run_sweep,
-    _draw_semisimple_params,
-    _draw_so2_params,
     _draw_cases,
+    _draw_params,
     _sample_rng,
 )
 from test_families import rejected_sl2rxso2_table, theta_table
@@ -90,8 +90,7 @@ class TestThetaOracle:
         # x1 = 0 stratum with x2 = 1, y1 = -1 (Riemannian lemma ok), t14 = 1:
         # the X component of the (T, X, Y) identity cannot be fixed by theta.
         spec = FamilySpec.create("su2xso2", {"x2": 1, "y1": -1, "t14": 1})
-        sol = oracle_solve_theta(spec)
-        assert sol.status == "infeasible"
+        assert oracle_solve_theta(spec) == ThetaSolution("infeasible", None, ())
 
     def test_sl2rxso2_rejected_variant_infeasible(self):
         spec = FamilySpec.create("sl2rxso2", {"x1": 1, "y2": 1, "c11": 1})
@@ -101,17 +100,11 @@ class TestThetaOracle:
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_matches_closed_form_on_random_specs(self, family):
         rng = random.Random(f"oracle-{family.value}")
-        from liefol.verifier import _draw_semisimple_params
-
         for _ in range(8):
             dim = family_dimension(family)
             sig = tuple(rng.choice((1, -1)) for _ in range(dim))
-            if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
-                s = sig[-2] * sig[-1]
-                base, x2s, _ = _draw_so2_params(rng, family, 6, (s,))
-                spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
-            else:
-                spec = FamilySpec.create(family, _draw_semisimple_params(rng, family, 6), sig)
+            [(params, _)], _ = _draw_params(rng, family, 6, (sig[-2] * sig[-1],))
+            spec = FamilySpec.create(family, params, sig)
             sol = oracle_solve_theta(spec)
             closed = closed_form_theta(spec)
             if sol.status == "unique":
@@ -150,9 +143,7 @@ def dense_theta_solution(spec, build=theta_table):
         columns.append([f - b for f, b in zip(probed, base)])
     rows = [[columns[c][r] for c in range(m)] for r in range(len(base))]
     solution = solve_linear_system(rows, [-b for b in base])
-    if solution.status == "infeasible":
-        return verifier.ThetaSolution("infeasible", None, ())
-    return verifier.ThetaSolution(solution.status, solution.particular, solution.nullspace)
+    return ThetaSolution(solution.status, solution.particular, solution.nullspace)
 
 
 class TestThetaOracleMatchesDenseSystem:
@@ -165,12 +156,8 @@ class TestThetaOracleMatchesDenseSystem:
         statuses = set()
         for _ in range(6):
             sig = tuple(rng.choice((1, -1)) for _ in range(dim))
-            if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
-                s = sig[-2] * sig[-1]
-                base, x2s, _ = _draw_so2_params(rng, family, 6, (s,))
-                spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
-            else:
-                spec = FamilySpec.create(family, _draw_semisimple_params(rng, family, 6), sig)
+            [(params, _)], _ = _draw_params(rng, family, 6, (sig[-2] * sig[-1],))
+            spec = FamilySpec.create(family, params, sig)
             solution = oracle_solve_theta(spec)
             assert solution == dense_theta_solution(spec)
             statuses.add(solution.status)
@@ -459,17 +446,14 @@ class TestWitnessPick:
         config = SweepConfig(family=family, samples=1 if family_dimension(family) == 8 else 3, seed=31)
         signatures = enumerate_signatures(config)
         witnessed = unwitnessed = 0
-        for _, builds in _draw_cases(config):
-            for setup, cases in builds:
-                vertical = FrameFreeVertical.from_setup(setup)
-                for eps in signatures:
-                    if eps[-2] * eps[-1] not in cases:
-                        continue
-                    hit = FoliationSetup(setup.tensor, MetricFrame(eps), setup.vertical, setup.horizontal)
-                    expected = first_nonzero_of(classify(hit, require_jacobi=False).bv)
-                    assert vertical.first_nonzero(eps) == expected, eps
-                    witnessed += expected is not None
-                    unwitnessed += expected is None
+        for _, cases in _draw_cases(config):
+            for eps in signatures:
+                case = cases[eps[-2] * eps[-1]]
+                hit = FoliationSetup(case.setup.tensor, MetricFrame(eps), case.setup.vertical, case.setup.horizontal)
+                expected = first_nonzero_of(classify(hit, require_jacobi=False).bv)
+                assert case.vertical.first_nonzero(eps) == expected, eps
+                witnessed += expected is not None
+                unwitnessed += expected is None
         assert witnessed + unwitnessed == config.samples * len(signatures)
         assert witnessed and unwitnessed
 
@@ -497,12 +481,11 @@ class TestSweepBuildsOncePerDraw:
         cases = 0
         circle_mixed_rows = False  # y1 and x1 nonzero: sff_H(X, Y) depends on eps_X*eps_Y
         mean_directions = set()  # horizontal directions with nonzero mean curvature
-        for _, builds in _draw_cases(config):
-            by_class = {s: case for _, served in builds for s, case in served.items()}
+        for _, by_class in _draw_cases(config):
             for sig in signatures:
-                params, _, horizontal, vertical, flags, closed, _, conditions = by_class[sig[-2] * sig[-1]]
-                spec = FamilySpec(family, params, MetricFrame(sig))
-                report = horizontal.report(sig, vertical.form(sig))
+                case = by_class[sig[-2] * sig[-1]]
+                spec = FamilySpec(family, case.params, MetricFrame(sig))
+                report = case.horizontal.report(sig, case.vertical.form(sig))
                 circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
                 # build_family has checked the Jacobi identity.
                 setup = build_family(FamilySpec.create(family, spec.params, sig))
@@ -516,8 +499,8 @@ class TestSweepBuildsOncePerDraw:
                 assert report.bv == via_connection
                 # The sweep's per-signature picks: the same flags as the full report,
                 # and total geodesy exactly when the Koszul-route sff_V vanishes.
-                geodesic = vertical.totally_geodesic(sig)
-                assert (*flags, geodesic) == (
+                geodesic = case.vertical.totally_geodesic(sig)
+                assert (*case.flags, geodesic) == (
                     report.conformal,
                     report.semi_riemannian,
                     report.minimal,
@@ -525,10 +508,10 @@ class TestSweepBuildsOncePerDraw:
                 ), sig
                 assert geodesic == (not any(any(vec) for vec in via_connection.values()))
                 # ... and its per-draw closed forms equal the per-case predicates.
-                assert (first_violated_condition(conditions, sig) is None) == (
+                assert (first_violated_condition(case.conditions, sig) is None) == (
                     closed_form_totally_geodesic(spec)
                 )
-                assert closed[1] == closed_form_minimal(spec)
+                assert case.closed[1] == closed_form_minimal(spec)
                 # Mean curvature: the eps-weighted trace of the Koszul-route sff_V.
                 trace = tuple(
                     sum(sig[k] * via_connection[(k, k)][h] for k in setup.vertical)
@@ -546,28 +529,39 @@ class TestSweepBuildsOncePerDraw:
         assert circle_mixed_rows == is_circle
         assert mean_directions == ({setup.dim - 2, setup.dim - 1} if is_circle else set())
 
+    # One build per draw of a semisimple family, and per eps_X*eps_Y class the
+    # signatures reach for a circle family.
     @pytest.mark.parametrize(
-        "family, builds_per_draw", [(FamilyId.SU2, 1), (FamilyId.SU2xSU2, 1), (FamilyId.SU2xSO2, 2)]
+        "family, mode, fixed, builds_per_draw",
+        [
+            pytest.param(FamilyId.SU2, "all", (), 1, id="su2-1"),
+            pytest.param(FamilyId.SU2xSU2, "all", (), 1, id="su2xsu2-1"),
+            pytest.param(FamilyId.SU2xSO2, "all", (), 2, id="su2xso2-2"),
+            pytest.param(FamilyId.SL2RxSO2, "all", (), 2, id="sl2rxso2-all-2"),
+            pytest.param(FamilyId.SU2xSO2, "riemannian-only", (), 1, id="su2xso2-riemannian-only-1"),
+            pytest.param(
+                FamilyId.SU2xSO2, "fixed", ((1, 1, 1, 1, 1, -1), (-1, 1, 1, 1, -1, 1)), 1, id="su2xso2-class-minus-1"
+            ),
+        ],
     )
-    def test_spec_creation_and_setup_once_per_draw(self, family, builds_per_draw, monkeypatch):
-        counts = {"create": 0, "setup": 0}
-        create = FamilySpec.create.__func__
-        setup_init = FoliationSetup.__init__
+    def test_spec_creation_and_setup_once_per_draw(self, family, mode, fixed, builds_per_draw, monkeypatch):
+        counts = {"spec": 0, "setup": 0}
+        spec_init, setup_init = FamilySpec.__init__, FoliationSetup.__init__
 
-        def counting_create(cls, *args, **kwargs):
-            counts["create"] += 1
-            return create(cls, *args, **kwargs)
+        def counting_spec_init(self, *args, **kwargs):
+            counts["spec"] += 1
+            spec_init(self, *args, **kwargs)
 
         def counting_setup_init(self, *args, **kwargs):
             counts["setup"] += 1
             setup_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(FamilySpec, "create", classmethod(counting_create))
+        monkeypatch.setattr(FamilySpec, "__init__", counting_spec_init)
         monkeypatch.setattr(FoliationSetup, "__init__", counting_setup_init)
-        config = SweepConfig(family=family, samples=3, seed=8)
+        config = SweepConfig(family=family, samples=3, seed=8, signature_mode=mode, fixed_signatures=fixed)
         report = run_sweep(config)
         assert report.total_cases == 3 * len(enumerate_signatures(config))
-        assert counts == {"create": 3 * builds_per_draw, "setup": 3 * builds_per_draw}
+        assert counts == {"spec": 3 * builds_per_draw, "setup": 3 * builds_per_draw}
 
 
 def reference_draw_pair(rng, bound):
@@ -607,23 +601,36 @@ def reference_so2_params(rng, bound, classes):
         attempts += 1
 
 
+def reference_draws(rng, family, bound, classes):
+    """The reference samplers' draw in the shape _draw_params returns: ([(params, classes served)], attempts)."""
+    if family not in CIRCLE_FAMILIES:
+        return [(reference_semisimple_params(rng, family, bound), tuple(classes))], 0
+    base, x2_by_class, attempts = reference_so2_params(rng, bound, classes)
+    names = family_parameter_names(family)
+    draws = [({name: x2 if name == "x2" else base[name] for name in names}, (s,)) for s, x2 in x2_by_class.items()]
+    return draws, attempts
+
+
+def assert_draw_matches_reference(rng, reference_rng, family, bound, classes):
+    """_draw_params and the reference give equal Fractions in family key order, and leave equal RNG states."""
+    draws, attempts = _draw_params(rng, family, bound, classes)
+    assert (draws, attempts) == reference_draws(reference_rng, family, bound, classes)
+    assert all(list(params) == list(family_parameter_names(family)) for params, _ in draws)
+    assert all(type(v) is Fraction for params, _ in draws for v in params.values())
+    assert rng.getstate() == reference_rng.getstate()
+    return draws
+
+
 class TestSo2Sampling:
     def test_draws_satisfy_constraints(self):
         rng = random.Random(9)
         for _ in range(30):
-            base, x2s, _ = _draw_so2_params(rng, FamilyId.SU2xSO2, 8, (1, -1))
-            assert base["y2"] == base["x1"]
-            for s, x2 in x2s.items():
-                assert x2 == -s * base["y1"]
-                spec = FamilySpec.create(
-                    FamilyId.SU2xSO2,
-                    {
-                        name: ({**base, "x2": x2}[name])
-                        for name in family_parameter_names(FamilyId.SU2xSO2)
-                    },
-                    (1, 1, 1, 1, 1, s),
-                )
-                build_family(spec)  # must not raise
+            draws, _ = _draw_params(rng, FamilyId.SU2xSO2, 8, (1, -1))
+            assert [classes for _, classes in draws] == [(1,), (-1,)]
+            for params, (s,) in draws:
+                assert params["y2"] == params["x1"]
+                assert params["x2"] == -s * params["y1"]
+                build_family(FamilySpec.create(FamilyId.SU2xSO2, params, (1, 1, 1, 1, 1, s)))  # must not raise
 
     @pytest.mark.parametrize("family", [FamilyId.SU2xSO2, FamilyId.SL2RxSO2])
     def test_matches_the_fraction_sampler(self, family):
@@ -633,14 +640,9 @@ class TestSo2Sampling:
             seed = 100 * bound + len(classes) * classes[0]
             for index in range(112):
                 rng, reference_rng = _sample_rng(seed, index), _sample_rng(seed, index)
-                base, x2s, attempts = _draw_so2_params(rng, family, bound, classes)
-                expected = reference_so2_params(reference_rng, bound, classes)
-                assert (base, x2s, attempts) == expected
-                assert (list(base), list(x2s)) == (list(expected[0]), list(expected[1]))
-                assert all(type(v) is Fraction for v in (*base.values(), *x2s.values()))
-                assert rng.getstate() == reference_rng.getstate()
-                strata["x1 = 0"] += base["x1"] == 0
-                strata["theta4 determined, nonzero"] += base["x1"] != 0 and base["theta4"] != 0
+                params = assert_draw_matches_reference(rng, reference_rng, family, bound, classes)[0][0]
+                strata["x1 = 0"] += params["x1"] == 0
+                strata["theta4 determined, nonzero"] += params["x1"] != 0 and params["theta4"] != 0
         assert all(strata.values()), strata
 
     # 1, the powers of two and 2^k +- 1 up to 64: each bit count the integer
@@ -649,7 +651,7 @@ class TestSo2Sampling:
     def test_every_sampler_keeps_the_randint_stream(self, bound):
         # Per bound 24 streams of the pair draw, 4 per semisimple family and 3
         # per circle family and class set: 58 (seed, index) streams, 928 in all.
-        families = [f for f in FamilyId if f not in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2)]
+        families = [f for f in FamilyId if f not in CIRCLE_FAMILIES]
         for index in range(24):
             rng, reference_rng = _sample_rng(bound, index), _sample_rng(bound, index)
             for _ in range(12):
@@ -657,18 +659,12 @@ class TestSo2Sampling:
                 assert rng.getstate() == reference_rng.getstate()
         for family, index in itertools.product(families, range(4)):
             rng, reference_rng = _sample_rng(-bound, index), _sample_rng(-bound, index)
-            params = _draw_semisimple_params(rng, family, bound)
-            assert params == reference_semisimple_params(reference_rng, family, bound)
-            assert all(type(v) is Fraction for v in params.values())
-            assert rng.getstate() == reference_rng.getstate()
+            assert_draw_matches_reference(rng, reference_rng, family, bound, (1, -1))
         for family, classes, index in itertools.product(
             (FamilyId.SU2xSO2, FamilyId.SL2RxSO2), ((1,), (-1,), (-1, 1)), range(3)
         ):
             rng, reference_rng = _sample_rng(1000 + bound, index), _sample_rng(1000 + bound, index)
-            assert _draw_so2_params(rng, family, bound, classes) == reference_so2_params(
-                reference_rng, bound, classes
-            )
-            assert rng.getstate() == reference_rng.getstate()
+            assert_draw_matches_reference(rng, reference_rng, family, bound, classes)
 
     def test_exhausted_sampler_raises_sampling_error(self, monkeypatch):
         monkeypatch.setattr(verifier, "SO2_MAX_ATTEMPTS", 3)
@@ -806,7 +802,8 @@ def reference_counterexamples(config):
     names = family_basis_names(family)
     results = []
     for index in range(config.samples):
-        params = _draw_semisimple_params(_sample_rng(config.seed, index), family, config.parameter_range)
+        rng = _sample_rng(config.seed, index)
+        [(params, _)], _ = _draw_params(rng, family, config.parameter_range, (1, -1))
         for sig in enumerate_signatures(config):
             spec = FamilySpec.create(family, params, sig)
             setup = build_family(spec)
@@ -902,19 +899,12 @@ class TestCounterexampleSearchMatchesReference:
 class TestConformalityOracle:
     def test_agrees_with_classifier(self):
         rng = random.Random(10)
-        from liefol.verifier import _draw_semisimple_params
-
         for _ in range(15):
             family = rng.choice(list(FamilyId))
             dim = family_dimension(family)
             sig = tuple(rng.choice((1, -1)) for _ in range(dim))
-            if family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
-                s = sig[-2] * sig[-1]
-                base, x2s, _ = _draw_so2_params(rng, family, 5, (s,))
-                spec = FamilySpec.create(family, {**base, "x2": x2s[s]}, sig)
-            else:
-                spec = FamilySpec.create(family, _draw_semisimple_params(rng, family, 5), sig)
-            setup = build_family(spec)
+            [(params, _)], _ = _draw_params(rng, family, 5, (sig[-2] * sig[-1],))
+            setup = build_family(FamilySpec.create(family, params, sig))
             report = classify(setup, require_jacobi=False)
             by_definition, vector = oracle_conformal_from_definition(setup)
             assert by_definition == report.conformal
