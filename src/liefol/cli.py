@@ -326,15 +326,17 @@ def cmd_family(args) -> int:
 def _output_file(path: str):
     """A temporary file next to path, renamed onto it if the block succeeds and removed otherwise.
 
-    Symlinks are resolved first, so the output goes to the link's target (a
-    dangling link creates it) and the link stays.  An existing path that is
-    not a regular file (a FIFO, a device) is written in place.  The file is
-    opened on entry, so an unusable path fails before the block runs; that and
-    a failed write or rename are a ParseError naming path as given.
+    The output goes through a symlink to its target (a dangling link creates
+    it; a loop is refused), and an existing path that is not a regular file (a
+    FIFO, a device) is written in place.  The file is opened on entry, so an
+    unusable path fails before the block runs; that and a failed write or
+    rename are a ParseError naming path as given.
     """
     if os.path.isdir(path):
         raise ParseError(path, "is a directory")
     real = os.path.realpath(path)
+    if os.path.islink(real):  # realpath stops at a symlink loop; a rename would replace the link
+        raise ParseError(path, "is a symlink loop")
     in_place = os.path.exists(real) and not os.path.isfile(real)
     directory, name = os.path.split(real)
     target = real if in_place else os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")

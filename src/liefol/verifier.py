@@ -366,10 +366,7 @@ def _witness_entry(
 
 
 class _Case(NamedTuple):
-    """What the signatures of one eps_X*eps_Y class of a draw share (see _draw_cases).
-
-    A NamedTuple for the reason FrameFreeVertical is one: cheap to define at import.
-    """
+    """What the signatures of one eps_X*eps_Y class of a draw share; a NamedTuple, as FrameFreeVertical is."""
 
     setup: FoliationSetup
     params: dict[str, Fraction]

@@ -449,6 +449,14 @@ class TestOutputThroughSymlink:
         assert json.loads(target.read_text())[field] == value
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
+    @pytest.mark.parametrize("command", ["family", "sweep"])
+    def test_symlink_loop_exits_three_and_keeps_the_links(self, command, tmp_path, capsys):
+        (tmp_path / "a.json").symlink_to("b.json")
+        (tmp_path / "b.json").symlink_to("a.json")
+        assert main([*OUTPUT_RUNS[command][0], str(tmp_path / "a.json")]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {tmp_path / 'a.json'}: is a symlink loop\n"
+        assert sorted((p.name, p.is_symlink()) for p in tmp_path.iterdir()) == [("a.json", True), ("b.json", True)]
+
 
 class TestSweepCommand:
     def test_summary_and_json(self, tmp_path, capsys):
