@@ -13,7 +13,6 @@ from .algebra import (
     FoliationSetup,
     JacobiError,
     MetricFrame,
-    Scalar,
     StructureError,
     StructureTensor,
     as_scalar,
@@ -36,7 +35,6 @@ from .families import (
     totally_geodesic_conditions,
 )
 from .geometry import (
-    ConnectionCoefficients,
     FoliationReport,
     classify,
     connection_coefficients,
@@ -58,7 +56,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConnectionCoefficients",
     "ConstraintError",
     "FamilyId",
     "FamilySpec",
@@ -68,7 +65,6 @@ __all__ = [
     "MetricFrame",
     "ReverificationError",
     "SamplingError",
-    "Scalar",
     "StructureError",
     "StructureTensor",
     "SweepConfig",

@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
@@ -46,7 +45,7 @@ class JacobiError(ConstraintError):
         super().__init__(
             "jacobi residual = 0",
             f"bracket table is not a Lie algebra: max Jacobi residual "
-            f"{reprlib.repr(format_scalar(report.max_abs))} at triple {report.worst_triple()}",
+            f"{reprlib.repr(format_scalar(report.max_abs))} at triple {report.worst_triple}",
         )
         self.report = report
 
@@ -196,20 +195,15 @@ class StructureTensor:
 
 @dataclass(frozen=True)
 class JacobiReport:
-    """Jacobi residual of a bracket table: per-triple cyclic sums and their max."""
+    """Jacobi residual of a bracket table: per-triple cyclic sums, their max and the first triple reaching it."""
 
-    dim: int
     max_abs: Fraction
     violations: tuple[tuple[tuple[int, int, int], tuple[Fraction, ...]], ...]
+    worst_triple: tuple[int, int, int] | None
 
     @property
     def is_zero(self) -> bool:
         return self.max_abs == 0
-
-    def worst_triple(self) -> tuple[int, int, int] | None:
-        if not self.violations:
-            return None
-        return max(self.violations, key=lambda item: max(abs(x) for x in item[1]))[0]
 
 
 def jacobi_residual(tensor: StructureTensor) -> JacobiReport:
@@ -225,6 +219,7 @@ def jacobi_residual(tensor: StructureTensor) -> JacobiReport:
     dim = tensor.dim
     c = tensor.c
     max_abs = ZERO
+    worst = None
     violations = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -240,9 +235,9 @@ def jacobi_residual(tensor: StructureTensor) -> JacobiReport:
                 if any(res):
                     violations.append(((i, j, k), tuple(res)))
                     local = max(abs(x) for x in res)
-                    if local > max_abs:
-                        max_abs = local
-    return JacobiReport(dim, max_abs, tuple(violations))
+                    if local > max_abs:  # strictly: the first triple wins a tie
+                        max_abs, worst = local, (i, j, k)
+    return JacobiReport(max_abs, tuple(violations), worst)
 
 
 def require_lie_algebra(tensor: StructureTensor) -> None:
@@ -253,19 +248,23 @@ def require_lie_algebra(tensor: StructureTensor) -> None:
 
 
 def _check_subalgebra(tensor: StructureTensor, indices: Sequence[int]) -> tuple[int, ...]:
+    """indices as a tuple; StructureError unless they are distinct, in range and span a subalgebra."""
     idx = tuple(indices)
-    if len(set(idx)) != len(idx):
+    inside = set(idx)
+    if len(inside) != len(idx):
         raise StructureError(f"duplicate indices in {_echo_tuple(idx)}")
     if any(not (0 <= i < tensor.dim) for i in idx):
         raise StructureError(f"indices {_echo_tuple(idx)} out of range for dim {tensor.dim}")
-    inside = set(idx)
+    outside = [k for k in range(tensor.dim) if k not in inside]
+    c = tensor.c
     for a in idx:
         for b in idx:
-            for k, coeff in enumerate(tensor.c[a][b]):
-                if coeff and k not in inside:
+            cab = c[a][b]
+            for k in outside:
+                if cab[k]:
                     raise StructureError(
                         f"indices {_echo_tuple(idx)} not closed under bracket: "
-                        f"[e_{a}, e_{b}] has e_{k} component {_echo(coeff)}"
+                        f"[e_{a}, e_{b}] has e_{k} component {_echo(cab[k])}, so they span no subalgebra"
                     )
     return idx
 
@@ -341,17 +340,7 @@ class FoliationSetup:
             )
         if not self.vertical:
             raise StructureError("vertical part must be nonempty")
-        hset = set(self.horizontal)
-        c = self.tensor.c
-        for a in self.vertical:
-            for b in self.vertical:
-                cab = c[a][b]
-                for k in hset:
-                    if cab[k]:
-                        raise StructureError(
-                            f"vertical indices do not span a subalgebra: "
-                            f"[e_{a}, e_{b}] has horizontal e_{k} component"
-                        )
+        _check_subalgebra(self.tensor, self.vertical)
 
     @property
     def dim(self) -> int:

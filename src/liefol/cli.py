@@ -31,6 +31,7 @@ import os
 import re
 import reprlib
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -173,6 +174,15 @@ def setup_to_document(setup: FoliationSetup, meta: dict | None = None) -> dict:
     return doc
 
 
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a ParseError (json.loads keeps its last value)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ParseError("file", f"key {reprlib.repr(key)} given more than once in an object")
+    return obj
+
+
 def load_document(path: str) -> tuple[FoliationSetup, dict | None]:
     try:
         with open(path, "rb") as handle:
@@ -183,7 +193,9 @@ def load_document(path: str) -> tuple[FoliationSetup, dict | None]:
         raise ParseError("file", f"larger than {MAX_DOCUMENT_BYTES} bytes")
     try:
         # Decoded here: json.loads would also take UTF-16 or UTF-32 bytes.
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_object_without_repeats)
+    except ParseError:  # a ValueError, from the hook: not the over-long integer below
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError("file", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -238,7 +250,7 @@ def cmd_check(args) -> int:
     try:
         result = classify(setup)
     except JacobiError as exc:
-        i, j, k = exc.report.worst_triple()
+        i, j, k = exc.report.worst_triple
         print(
             f"jacobi: FAIL (max residual {format_scalar(exc.report.max_abs)} "
             f"at triple ({names[i]}, {names[j]}, {names[k]}))"
@@ -262,8 +274,10 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     for pair in pairs:
         if "=" not in pair:
             raise ParseError("--param", f"expected name=value, got {reprlib.repr(pair)}")
-        name, value = pair.split("=", 1)
-        params[name.strip()] = value.strip()
+        name, value = (part.strip() for part in pair.split("=", 1))
+        if name in params:
+            raise ParseError("--param", f"parameter {reprlib.repr(name)} given more than once")
+        params[name] = value
     return params
 
 
@@ -314,7 +328,7 @@ def cmd_family(args) -> int:
     }
     text = json.dumps(setup_to_document(setup, meta), indent=2) + "\n"
     try:
-        with _output_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+        with _output_file(args.out, "--out") if args.out is not None else contextlib.nullcontext(sys.stdout) as out:
             out.write(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -323,15 +337,17 @@ def cmd_family(args) -> int:
 
 
 @contextlib.contextmanager
-def _output_file(path: str):
+def _output_file(path: str, option: str):
     """A temporary file next to path, renamed onto it if the block succeeds and removed otherwise.
 
     The output goes through a symlink to its target (a dangling link creates
     it; a loop is refused), and an existing path that is not a regular file (a
     FIFO, a device) is written in place.  The file is opened on entry, so an
     unusable path fails before the block runs; that and a failed write or
-    rename are a ParseError naming path as given.
+    rename are a ParseError naming path as given, an empty path one naming option.
     """
+    if not path:
+        raise ParseError(option, "empty output path")
     if os.path.isdir(path):
         raise ParseError(path, "is a directory")
     real = os.path.realpath(path)
@@ -377,7 +393,7 @@ def cmd_sweep(args) -> int:
     try:
         family = FamilyId.parse(args.family)
         config = _signature_config(args, family)
-        with _output_file(args.json) if args.json else contextlib.nullcontext() as out:
+        with _output_file(args.json, "--json") if args.json is not None else contextlib.nullcontext() as out:
             report = run_sweep(config)
             if out:
                 out.write(report.to_json())
@@ -412,7 +428,7 @@ def cmd_sweep(args) -> int:
             f"{report.tg_counterexample_count}"
         )
         print(f"minimality counterexamples: {report.minimality_counterexample_count}")
-    if args.json:
+    if args.json is not None:
         print(f"report written to {args.json}")
     return EXIT_DISAGREEMENT if report.disagreements else EXIT_OK
 
@@ -450,11 +466,10 @@ def cmd_counterexample(args) -> int:
         else:
             print("  nonzero parameters: none")
         print(f"  violated condition: {entry['violatedCondition']} != 0")
-        if "witnessPair" in entry:
-            names = family_basis_names(family)
-            vec = tuple(as_scalar(v) for v in entry["witnessValue"])
-            pair = entry["witnessPair"]
-            print(f"  witness: B^V({pair[0]}, {pair[1]}) = {format_vector(vec, names)}")
+        names = family_basis_names(family)
+        vec = tuple(as_scalar(v) for v in entry["witnessValue"])
+        pair = entry["witnessPair"]
+        print(f"  witness: B^V({pair[0]}, {pair[1]}) = {format_vector(vec, names)}")
         print(f"  compact-type vertical: {_yesno(entry['compactType'])}")
         print(f"  still minimal: {_yesno(entry['minimal'])}")
     return EXIT_OK

@@ -23,16 +23,10 @@ from typing import NamedTuple
 from .algebra import HALF, ZERO, FoliationSetup, require_lie_algebra
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """gamma[i][j][k]: component of nabla_{e_i} e_j along e_k."""
-
-    dim: int
-    gamma: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
-def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = True) -> ConnectionCoefficients:
-    """Levi-Civita connection of the left-invariant metric, from the Koszul formula."""
+def connection_coefficients(
+    setup: FoliationSetup, *, require_jacobi: bool = True
+) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """Levi-Civita connection gamma[i][j][k], nabla_{e_i} e_j along e_k, from the Koszul formula."""
     if require_jacobi:
         require_lie_algebra(setup.tensor)
     dim = setup.dim
@@ -58,7 +52,7 @@ def connection_coefficients(setup: FoliationSetup, *, require_jacobi: bool = Tru
                 row.append((val if eps[k] > 0 else -val) * HALF if val else ZERO)
             rows.append(tuple(row))
         gamma.append(tuple(rows))
-    return ConnectionCoefficients(dim, tuple(gamma))
+    return tuple(gamma)
 
 
 _ZERO_PAIR = (ZERO, ZERO)
@@ -257,22 +251,11 @@ class FrameFreeHorizontal(NamedTuple):
             mean[h] = -total if eps[h] < 0 and total else total
         return tuple(mean)
 
-    def report(
-        self, eps: tuple[int, ...], bv: dict[tuple[int, int], tuple[Fraction, ...]]
-    ) -> FoliationReport:
-        """The classification for causal characters eps; bv is sff_V of the same split and frame."""
-        x, y = self.horizontal
-        conformal_vector = [ZERO] * self.dim
+    def conformal_vector(self, eps: tuple[int, ...]) -> tuple[Fraction, ...]:
+        vector = [ZERO] * self.dim
         for k, _, _, _, half in self.entries:
-            conformal_vector[k] = -half if eps[k] < 0 and half else half
-        return FoliationReport(
-            *self.flags(eps),
-            totally_geodesic=all(not (vec[x] or vec[y]) for vec in bv.values()),
-            mean_curvature=self.mean_curvature(eps),
-            conformal_vector=tuple(conformal_vector),
-            bh=self.form(eps),
-            bv=bv,
-        )
+            vector[k] = -half if eps[k] < 0 and half else half
+        return tuple(vector)
 
 
 def second_fundamental_form_vertical(setup: FoliationSetup) -> dict[tuple[int, int], tuple[Fraction, ...]]:
@@ -287,15 +270,15 @@ def second_fundamental_form_vertical_via_connection(
 
     Independent route kept for cross-checking against the bracket formula.
     """
-    conn = connection_coefficients(setup, require_jacobi=require_jacobi)
+    gamma = connection_coefficients(setup, require_jacobi=require_jacobi)
     x, y = setup.horizontal
     dim = setup.dim
     out: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for a, i in enumerate(setup.vertical):
         for j in setup.vertical[a:]:
             vec = [ZERO] * dim
-            vec[x] = HALF * (conn.gamma[i][j][x] + conn.gamma[j][i][x])
-            vec[y] = HALF * (conn.gamma[i][j][y] + conn.gamma[j][i][y])
+            vec[x] = HALF * (gamma[i][j][x] + gamma[j][i][x])
+            vec[y] = HALF * (gamma[i][j][y] + gamma[j][i][y])
             out[(i, j)] = tuple(vec)
     return out
 
@@ -324,7 +307,6 @@ class FoliationReport:
     totally_geodesic: bool
     mean_curvature: tuple[Fraction, ...]
     conformal_vector: tuple[Fraction, ...]
-    bh: HorizontalForm
     bv: dict[tuple[int, int], tuple[Fraction, ...]]
 
     @property
@@ -350,4 +332,13 @@ def classify(setup: FoliationSetup, *, require_jacobi: bool = True) -> Foliation
     if require_jacobi:
         require_lie_algebra(setup.tensor)
     eps = setup.frame.epsilon
-    return FrameFreeHorizontal.from_setup(setup).report(eps, second_fundamental_form_vertical(setup))
+    horizontal = FrameFreeHorizontal.from_setup(setup)
+    bv = second_fundamental_form_vertical(setup)
+    x, y = setup.horizontal
+    return FoliationReport(
+        *horizontal.flags(eps),
+        totally_geodesic=all(not (vec[x] or vec[y]) for vec in bv.values()),
+        mean_curvature=horizontal.mean_curvature(eps),
+        conformal_vector=horizontal.conformal_vector(eps),
+        bv=bv,
+    )

@@ -99,10 +99,12 @@ class SweepConfig:
         if self.signature_mode == "fixed":
             if not self.fixed_signatures:
                 raise StructureError("fixed signature mode needs at least one signature")
-            for sig in self.fixed_signatures:
+            for pos, sig in enumerate(self.fixed_signatures):
                 MetricFrame(tuple(sig))
                 if type(sig) is not tuple or len(sig) != dim:  # run_sweep keys its cases by these tuples
                     raise StructureError(f"fixed signature {reprlib.repr(sig)} is not a {dim}-tuple")
+                if self.fixed_signatures.index(sig) < pos:  # each of its cases would count twice
+                    raise StructureError(f"fixed signature {reprlib.repr(sig)} given more than once")
         elif self.fixed_signatures:
             raise StructureError("fixed_signatures only allowed with signature_mode='fixed'")
 
@@ -354,14 +356,13 @@ def _witness_entry(
     entry: dict,
     names: Sequence[str],
     violated: str | None,
-    witness: tuple[tuple[int, int], tuple[Fraction, ...]] | None,
+    witness: tuple[tuple[int, int], tuple[Fraction, ...]],
 ) -> dict:
     """Add the first violated closed-form condition and witness, the first nonzero sff_V pair, to entry."""
+    (i, j), vec = witness
     entry["violatedCondition"] = violated
-    if witness:
-        (i, j), vec = witness
-        entry["witnessPair"] = [names[i], names[j]]
-        entry["witnessValue"] = [format_scalar(v) for v in vec]
+    entry["witnessPair"] = [names[i], names[j]]
+    entry["witnessValue"] = [format_scalar(v) for v in vec]
     return entry
 
 
@@ -537,10 +538,9 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
             if compact_type is None:
                 compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
             violated = first_violated_condition(case.conditions, eps)
-            witness = next((item for item in sorted(report.bv.items()) if any(item[1])), None)
+            witness = report.totally_geodesic_witnesses[0]
             entry = _witness_entry(_describe(family, case.params_text, list(eps)), names, violated, witness)
             entry["compactType"] = compact_type
-            entry["semisimpleVertical"] = True
             entry["minimal"] = report.minimal
             results.append(entry)
     return results

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import reprlib
 import stat
 import sys
 from fractions import Fraction
@@ -300,6 +301,25 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err == f"parse error: epsilon: expected {MAX_DIM} entries, got 1\n"
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"dim": 3, "dim": 3, "epsilon": [1, 1, 1], "brackets": [], "vertical": [0], "horizontal": [1, 2]}', "'dim'"),
+            # json.loads would keep the second list alone: [e0, e1] = e2 classified as abelian.
+            ('{"dim": 3, "epsilon": [1, 1, 1], "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "0", "1"], '
+             '"coeffs": ["0", "0", "0"]}], "vertical": [0], "horizontal": [1, 2]}', "'coeffs'"),
+            ('{"meta": {"%s": 1, "%s": 2}}' % ("k" * 100_000, "k" * 100_000), reprlib.repr("k" * 100_000)),
+        ],
+        ids=["top-level", "bracket-row", "long-key-in-meta"],
+    )
+    def test_repeated_key_exits_three_with_one_line(self, text, key, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: file: key {key} given more than once in an object\n"
+        assert captured.out == ""
+
     def test_max_dim_document_is_accepted(self, tmp_path, capsys):
         doc = {"dim": MAX_DIM, "epsilon": [1] * MAX_DIM, "brackets": [],
                "vertical": list(range(MAX_DIM - 2)), "horizontal": [MAX_DIM - 2, MAX_DIM - 1]}
@@ -393,6 +413,22 @@ class TestFamilyCommand:
         assert capsys.readouterr().err == (
             f"error: not an exact rational literal: a numeral of more than {limit} digits\n"
         )
+
+    def test_repeated_param_exits_three(self, capsys):
+        # Neither value is silently taken, whichever way the name is spaced.
+        for values in (["b11=1", "b11=2"], ["b11=1", " b11 = 1"]):
+            assert main(["family", "su2", "--param", *values]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.err == "error: --param: parameter 'b11' given more than once\n"
+            assert captured.out == ""
+
+    def test_empty_out_path_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["family", "su2", "--out", ""]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: --out: empty output path\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_onto_a_fifo_reaches_its_reader(self, tmp_path):
         fifo = tmp_path / "family.fifo"
@@ -494,6 +530,31 @@ class TestSweepCommand:
         assert main(["sweep", "su2", "--samples", "1", "--json", json_path]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_empty_json_path_exits_three_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("sweep ran before the output path was checked")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "su2", "--samples", "1", "--json", ""]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: --json: empty output path\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "counterexample"])
+    def test_repeated_signature_exits_three_before_the_run(self, command, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("ran with a repeated signature")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        monkeypatch.setattr("liefol.cli.find_conjecture_counterexamples", no_run)
+        argv = [command, "su2", "--samples", "2", "--signatures", "1,-1,1,1,1", "1,1,1,1,1", "+1,-1,1,1,1"]
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: fixed signature (1, -1, 1, 1, 1) given more than once\n"
+        assert captured.out == ""
 
     def test_signature_flag(self, capsys):
         code = main(
@@ -754,6 +815,7 @@ class TestArgvEcho:
             ["sweep", HUGE_NAME],
             ["family", "su2", "--param", HUGE_NAME],
             ["family", "su2", "--param", HUGE_NAME + "=1"],
+            ["family", "su2", "--param", HUGE_NAME + "=1", HUGE_NAME + "=2"],
             ["sweep", "su2", "--samples", "9" + HUGE_NAME],
             [HUGE_NAME],
             ["sweep", "su2", "--signatures", ",".join(["1"] * 60_001)],
@@ -761,7 +823,7 @@ class TestArgvEcho:
             ["check", "setup.json", "extra\nlines\n" * 3],
         ],
         ids=[
-            "epsilon", "family-name", "sweep-family-name", "param-without-equals", "unknown-param",
+            "epsilon", "family-name", "sweep-family-name", "param-without-equals", "unknown-param", "repeated-param",
             "integer-option", "unknown-command", "signature-length", "param-value", "unrecognized-with-newlines",
         ],
     )

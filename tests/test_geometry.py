@@ -61,25 +61,25 @@ def random_family_setup(rng: random.Random):
 
 class TestConnection:
     def test_abelian_connection_vanishes(self):
-        conn = connection_coefficients(abelian_setup())
+        gamma = connection_coefficients(abelian_setup())
         assert all(
-            not any(conn.gamma[i][j]) for i in range(4) for j in range(4)
+            not any(gamma[i][j]) for i in range(4) for j in range(4)
         )
 
     def test_su2_biinvariant_is_half_bracket(self):
         setup = build_family(FamilySpec.create("su2"))
-        conn = connection_coefficients(setup)
+        gamma = connection_coefficients(setup)
         # nabla_A B = C, and in general nabla = half the bracket on the block.
-        assert conn.gamma[0][1] == (F(0), F(0), F(1), F(0), F(0))
+        assert gamma[0][1] == (F(0), F(0), F(1), F(0), F(0))
         for i in range(3):
             for j in range(3):
                 half_bracket = tuple(F(1, 2) * v for v in setup.tensor.c[i][j])
-                assert conn.gamma[i][j] == half_bracket
+                assert gamma[i][j] == half_bracket
 
     def test_family_nabla_x_x_vanishes(self):
         setup = build_family(FamilySpec.create("su2", {"b11": 1}))
-        conn = connection_coefficients(setup)
-        assert not any(conn.gamma[3][3])
+        gamma = connection_coefficients(setup)
+        assert not any(gamma[3][3])
 
     def test_rejects_non_lie_algebra(self):
         # Vertical span is bracket-closed but J(e0, e1, e2) = e2 != 0.
@@ -96,7 +96,7 @@ class TestConnection:
         # with the right side evaluated through the metric, not index lookups.
         rng = random.Random(300 + seed)
         _, setup = random_family_setup(rng)
-        conn = connection_coefficients(setup)
+        gamma = connection_coefficients(setup)
         dim = setup.dim
         eps = setup.frame.epsilon
         t = setup.tensor
@@ -113,7 +113,7 @@ class TestConnection:
             for j in range(dim):
                 for k in range(dim):
                     rhs = g(t.c[k][i], basis(j)) + g(t.c[k][j], basis(i)) + g(basis(k), t.c[i][j])
-                    assert 2 * eps[k] * conn.gamma[i][j][k] == rhs
+                    assert 2 * eps[k] * gamma[i][j][k] == rhs
 
     @staticmethod
     def textbook_gamma(setup: FoliationSetup):
@@ -164,7 +164,7 @@ class TestConnection:
         assert sum(not jacobi_residual(setup.tensor).is_zero for setup in setups) > len(setups) // 2
         skipped = 0
         for setup in setups:
-            gamma = connection_coefficients(setup, require_jacobi=False).gamma
+            gamma = connection_coefficients(setup, require_jacobi=False)
             assert gamma == self.textbook_gamma(setup)
             entries = [v for rows in gamma for row in rows for v in row]
             assert all(type(v) is Fraction for v in entries)
@@ -175,16 +175,16 @@ class TestConnection:
     def test_torsion_free_and_metric_compatible(self, seed):
         rng = random.Random(seed)
         _, setup = random_family_setup(rng)
-        conn = connection_coefficients(setup)
+        gamma = connection_coefficients(setup)
         eps = setup.frame.epsilon
         dim = setup.dim
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
                     # nabla_i e_j - nabla_j e_i = [e_i, e_j]
-                    assert conn.gamma[i][j][k] - conn.gamma[j][i][k] == setup.tensor.c[i][j][k]
+                    assert gamma[i][j][k] - gamma[j][i][k] == setup.tensor.c[i][j][k]
                     # g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
-                    assert eps[k] * conn.gamma[i][j][k] + eps[j] * conn.gamma[i][k][j] == 0
+                    assert eps[k] * gamma[i][j][k] + eps[j] * gamma[i][k][j] == 0
 
 
 class TestVerticalForm:
@@ -370,10 +370,12 @@ class TestClassify:
         )
         report = classify(int_setup, require_jacobi=False)
         assert report == classify(setup, require_jacobi=False)
+        bh = second_fundamental_form_horizontal(int_setup)
+        assert bh == second_fundamental_form_horizontal(setup)
         entries = [
-            *report.bh.xx,
-            *report.bh.xy,
-            *report.bh.yy,
+            *bh.xx,
+            *bh.xy,
+            *bh.yy,
             *report.mean_curvature,
             *report.conformal_vector,
             *(v for vec in report.bv.values() for v in vec),
@@ -601,7 +603,8 @@ def assert_scaling_covariance(setup: FoliationSetup, scale: Fraction) -> None:
     assert (after.mean_curvature, after.conformal_vector) == (
         times(before.mean_curvature), times(before.conformal_vector)
     )
-    assert (after.bh.xx, after.bh.xy, after.bh.yy) == tuple(map(times, (before.bh.xx, before.bh.xy, before.bh.yy)))
+    bh_before, bh_after = second_fundamental_form_horizontal(setup), second_fundamental_form_horizontal(scaled)
+    assert (bh_after.xx, bh_after.xy, bh_after.yy) == tuple(map(times, (bh_before.xx, bh_before.xy, bh_before.yy)))
     assert after.bv == {pair: times(vec) for pair, vec in before.bv.items()}
     residual, scaled_residual = jacobi_residual(setup.tensor), jacobi_residual(scaled.tensor)
     assert scaled_residual.violations == tuple(
@@ -655,9 +658,10 @@ def assert_covariance(setup: FoliationSetup, moved: FoliationSetup, p, *, requir
     bv = {**before.bv, **{(j, i): vec for (i, j), vec in before.bv.items()}}
     assert after.bv == {(a, b): at(bv, a, b) for a, b in after.bv}
     x, y = setup.horizontal
-    bh = {(x, x): before.bh.xx, (x, y): before.bh.xy, (y, x): before.bh.xy, (y, y): before.bh.yy}
+    bh_before, bh_after = second_fundamental_form_horizontal(setup), second_fundamental_form_horizontal(moved)
+    bh = {(x, x): bh_before.xx, (x, y): bh_before.xy, (y, x): bh_before.xy, (y, y): bh_before.yy}
     nx, ny = moved.horizontal
-    assert (after.bh.xx, after.bh.xy, after.bh.yy) == (at(bh, nx, nx), at(bh, nx, ny), at(bh, ny, ny))
+    assert (bh_after.xx, bh_after.xy, bh_after.yy) == (at(bh, nx, nx), at(bh, nx, ny), at(bh, ny, ny))
 
 
 def inverse(p):

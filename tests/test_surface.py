@@ -1,9 +1,14 @@
-"""Every public function and method of liefol is used by the program itself.
+"""Every public function, method and record field of liefol is used by the program itself.
 
-A public name that only tests reach is a convenience kept in the library.  The
-program's own callers are src/liefol and the benchmark under bench/, as in
+A public name that only tests reach is a convenience kept in the library, and
+a record field that only tests read is a value every caller pays to build.
+The program's own callers are src/liefol and the benchmark under bench/, as in
 test_options.  The one exception is build_so2_raw_setup: the A5 acceptance
 test needs the raw circle ansatz from the library.
+
+Both scans match by name: a field passes when any attribute of that name is
+read anywhere, so a field named like another object's attribute cannot be told
+apart from it (JacobiReport.dim, never read, passed because tensor.dim is).
 """
 
 import ast
@@ -24,8 +29,23 @@ def public_definitions(source: str):
                     yield f"{node.name}.{item.name}", item.name, True
 
 
+def public_fields(source: str):
+    """(qualified name, name) per public field of a public dataclass or NamedTuple."""
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        record = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+            isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+        )
+        if record:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
 def references(sources) -> tuple[set, set]:
-    """The names read (ast.Name) and the attributes read (ast.Attribute) anywhere in the sources.
+    """The names read (ast.Name) and the attributes read (ast.Attribute, not assigned) anywhere in the sources.
 
     Import lines hold aliases and __all__ holds strings, so neither counts.
     """
@@ -34,7 +54,7 @@ def references(sources) -> tuple[set, set]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
     return names, attributes
 
@@ -50,10 +70,22 @@ def unreferenced(sources, callers) -> list[str]:
     ]
 
 
+def unread_fields(sources, callers) -> list[str]:
+    """Public record fields that no caller reads as an attribute."""
+    _, attributes = references(callers)
+    return [qualified for source in sources for qualified, name in public_fields(source) if name not in attributes]
+
+
 def test_every_public_name_is_used_by_the_program():
     callers = [path.read_text(encoding="utf-8") for path in CALLERS]
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unreferenced(sources, callers) == []
+
+
+def test_every_record_field_is_read_by_the_program():
+    callers = [path.read_text(encoding="utf-8") for path in CALLERS]
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert unread_fields(sources, callers) == []
 
 
 def test_scan_finds_names_only_tests_reach():
@@ -69,3 +101,16 @@ def test_scan_finds_names_only_tests_reach():
         "called()\nlib.via_module()\nk.m()\nlocal = 1\nprint(local)\n"
     )
     assert unreferenced([source], [caller]) == ["unused", "exported", "K.local", "K.n"]
+
+
+def test_scan_finds_fields_only_tests_read():
+    source = (
+        "@dataclass(frozen=True)\nclass D:\n    read: int\n    unread: int\n    stored: int\n    _private: int\n"
+        "    def m(self): return self.read\n"
+        "@dataclass\nclass E:\n    plain: int\n"
+        "class N(NamedTuple):\n    first: int\n    second: int\n"
+        "class Plain:\n    annotated: int\n"
+        "@dataclass\nclass _Hidden:\n    hidden: int\n"
+    )
+    caller = "d.stored = 1\nprint(n.first, 'second', unread)\n"
+    assert unread_fields([source], [source, caller]) == ["D.unread", "D.stored", "E.plain", "N.second"]

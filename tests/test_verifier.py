@@ -35,6 +35,7 @@ from liefol.families import (
 )
 from liefol.geometry import (
     classify,
+    second_fundamental_form_horizontal,
     second_fundamental_form_vertical,
     second_fundamental_form_vertical_via_connection,
 )
@@ -227,6 +228,16 @@ class TestSignatureEnumeration:
                 family=FamilyId.SU2, samples=1, seed=0, signature_mode="fixed",
                 fixed_signatures=([1, 1, 1, 1, 1],),
             )
+
+    def test_config_rejects_a_repeated_signature(self):
+        # Each of its cases would be counted twice.
+        sig = (1, -1, 1, 1, 1, 1, 1, 1)
+        with pytest.raises(StructureError) as err:
+            SweepConfig(
+                family=FamilyId.SU2xSU2, samples=1, seed=0, signature_mode="fixed",
+                fixed_signatures=(sig, (1,) * 8, sig),
+            )
+        assert str(err.value) == "fixed signature (1, -1, 1, 1, 1, 1, ...) given more than once"
 
     @pytest.mark.parametrize("value", [True, False, 1.0, 2.5])
     @pytest.mark.parametrize("field", ["samples", "seed", "parameter_range"])
@@ -461,17 +472,6 @@ class TestWitnessPick:
 class TestSweepBuildsOncePerDraw:
     """The sweep classifies every signature of a draw from one set of frame-free forms."""
 
-    REPORT_FIELDS = (
-        "conformal",
-        "semi_riemannian",
-        "minimal",
-        "totally_geodesic",
-        "mean_curvature",
-        "conformal_vector",
-        "bh",
-        "bv",
-    )
-
     # Three draws of the 32- and 64-signature families, one of the 256-signature ones.
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_reports_match_the_per_case_pipeline(self, family):
@@ -485,13 +485,18 @@ class TestSweepBuildsOncePerDraw:
             for sig in signatures:
                 case = by_class[sig[-2] * sig[-1]]
                 spec = FamilySpec(family, case.params, MetricFrame(sig))
-                report = case.horizontal.report(sig, case.vertical.form(sig))
                 circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
                 # build_family has checked the Jacobi identity.
                 setup = build_family(FamilySpec.create(family, spec.params, sig))
-                expected = classify(setup, require_jacobi=False)
-                for field in self.REPORT_FIELDS:
-                    assert getattr(report, field) == getattr(expected, field), (sig, field)
+                report = classify(setup, require_jacobi=False)
+                # Every frame-free pick equals classify, and sff_H its own entry point,
+                # on a table built in this frame.
+                assert case.horizontal.flags(sig) == (report.conformal, report.semi_riemannian, report.minimal)
+                assert case.vertical.totally_geodesic(sig) == report.totally_geodesic, sig
+                assert case.horizontal.mean_curvature(sig) == report.mean_curvature, sig
+                assert case.horizontal.conformal_vector(sig) == report.conformal_vector, sig
+                assert case.vertical.form(sig) == report.bv, sig
+                assert case.horizontal.form(sig) == second_fundamental_form_horizontal(setup), sig
                 via_connection = second_fundamental_form_vertical_via_connection(
                     setup, require_jacobi=False
                 )
@@ -822,7 +827,6 @@ def reference_counterexamples(config):
             entry["witnessPair"] = [names[i], names[j]]
             entry["witnessValue"] = [format_scalar(v) for v in vec]
             entry["compactType"] = is_negative_definite(killing_form(setup.tensor, setup.vertical))
-            entry["semisimpleVertical"] = True
             entry["minimal"] = report.minimal
             results.append(entry)
     return results
