@@ -491,7 +491,7 @@ class TestSweepBuildsOncePerDraw:
                 report = classify(setup, require_jacobi=False)
                 # Every frame-free pick equals classify, and sff_H its own entry point,
                 # on a table built in this frame.
-                assert case.horizontal.flags(sig) == (report.conformal, report.semi_riemannian, report.minimal)
+                assert case.horizontal.flags(sig) == (report.conformal, report.semi_riemannian, report.minimal), sig
                 assert case.vertical.totally_geodesic(sig) == report.totally_geodesic, sig
                 assert case.horizontal.mean_curvature(sig) == report.mean_curvature, sig
                 assert case.horizontal.conformal_vector(sig) == report.conformal_vector, sig
