@@ -14,7 +14,6 @@ import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 ScalarLike = Union[Fraction, int, str]
@@ -125,47 +124,20 @@ def _as_vector(entries: Iterable[ScalarLike], dim: int, what: str) -> tuple[Frac
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructureTensor:
     """Antisymmetric bracket coefficients c[i][j][k]: [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    Entries must be int or Fraction; int entries are stored as Fractions.
+    Built only by from_rows, from the rows i < j; every entry is a Fraction.
     """
 
     dim: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise StructureError(f"dim must be positive, got {self.dim}")
-        if len(self.c) != self.dim or any(
-            len(row) != self.dim or any(len(v) != self.dim for v in row) for row in self.c
-        ):
-            raise StructureError("structure table is not dim x dim x dim")
-        # type(), not isinstance: bool is an int subclass and is rejected.
-        kinds = set(map(type, chain.from_iterable(chain.from_iterable(self.c))))
-        if kinds - {Fraction}:
-            rejected = sorted(kind.__name__ for kind in kinds - {Fraction, int})
-            if rejected:
-                raise StructureError(f"structure constants must be int or Fraction, got {', '.join(rejected)}")
-            exact = tuple(tuple(tuple(map(Fraction, vec)) for vec in row) for row in self.c)
-            object.__setattr__(self, "c", exact)
-        c = self.c
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                for k, (a, b) in enumerate(zip(c[i][j], c[j][i])):
-                    # Most entries are zero pairs; negating a zero still builds a Fraction.
-                    if (a or b) and a != -b:
-                        raise StructureError(
-                            f"antisymmetry violated at c[{i}][{j}][{k}] (= {_echo(a)}, mirror {_echo(b)})"
-                        )
-
     @classmethod
     def from_rows(cls, dim: int, rows: Mapping[tuple[int, int], Sequence[ScalarLike]]) -> "StructureTensor":
         """Build from bracket rows for pairs i < j; the mirror rows are implied.
 
-        This is antisymmetric completion of sparse input, not correction: a
-        full table passed to the constructor is still rejected if asymmetric.
         A row of Fractions only is taken as it is; any other row goes through
         as_scalar, entry by entry.
         """
@@ -185,8 +157,7 @@ class StructureTensor:
             table[i][j] = vec
             # Negating a zero still builds a Fraction; the shared ZERO is found by identity.
             table[j][i] = tuple(v if v is ZERO else -v if v else ZERO for v in vec)
-        # The table is dim x dim x dim, all Fraction and antisymmetric by
-        # construction, so the constructor's checks are skipped.
+        # The table is dim x dim x dim, all Fraction and antisymmetric by construction.
         tensor = object.__new__(cls)
         object.__setattr__(tensor, "dim", dim)
         object.__setattr__(tensor, "c", tuple(map(tuple, table)))

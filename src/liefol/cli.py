@@ -343,13 +343,18 @@ def _output_file(path: str, option: str):
     The output goes through a symlink to its target (a dangling link creates
     it; a loop is refused), and an existing path that is not a regular file (a
     FIFO, a device) is written in place.  The file is opened on entry, so an
-    unusable path fails before the block runs; that and a failed write or
-    rename are a ParseError naming path as given, an empty path one naming option.
+    unusable path fails before the block runs; that, a path that names a
+    directory (one whose last component is empty, "." or "..") and a failed
+    write or rename are a ParseError naming path as given, an empty path one
+    naming option.
     """
     if not path:
         raise ParseError(option, "empty output path")
     if os.path.isdir(path):
         raise ParseError(path, "is a directory")
+    # realpath drops a trailing "/" or "/.", so the file would be written without it.
+    if os.path.basename(path) in ("", ".", ".."):
+        raise ParseError(path, "names a directory")
     real = os.path.realpath(path)
     if os.path.islink(real):  # realpath stops at a symlink loop; a rename would replace the link
         raise ParseError(path, "is a symlink loop")
@@ -489,12 +494,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {message if len(message) <= 200 else message[:197] + '...'}\n")
 
 
+class _Once(argparse.Action):
+    """Store an option's value, refusing a second occurrence (argparse's store keeps the last one)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _add_sweep_options(parser: argparse.ArgumentParser, samples: int) -> None:
     """The family and sampling arguments of sweep and counterexample; only the --samples default differs."""
     parser.add_argument("family")
-    parser.add_argument("--samples", type=_ascii_int, default=samples)
-    parser.add_argument("--seed", type=_ascii_int, default=0)
-    parser.add_argument("--range", type=_ascii_int, default=10, help="bound for rational numerators/denominators")
+    parser.add_argument("--samples", action=_Once, type=_ascii_int, default=samples)
+    parser.add_argument("--seed", action=_Once, type=_ascii_int, default=0)
+    parser.add_argument(
+        "--range", action=_Once, type=_ascii_int, default=10, help="bound for rational numerators/denominators"
+    )
     parser.add_argument(
         "--signatures",
         nargs="+",
@@ -521,18 +539,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_family = sub.add_parser("family", help="emit a classified family member as a document")
     p_family.add_argument("family", help="family id (su2, sl2r, su2xsu2, su2xsl2r, su2xso2, sl2rxso2)")
     p_family.add_argument("--param", nargs="*", action="extend", default=[], metavar="NAME=VALUE")
-    p_family.add_argument("--epsilon", help="comma-separated causal characters, e.g. 1,-1,1,1,1")
-    p_family.add_argument("--out", help="output path (stdout if omitted)")
+    p_family.add_argument("--epsilon", action=_Once, help="comma-separated causal characters, e.g. 1,-1,1,1,1")
+    p_family.add_argument("--out", action=_Once, help="output path (stdout if omitted)")
     p_family.set_defaults(func=cmd_family)
 
     p_sweep = sub.add_parser("sweep", help="randomized classification sweep with closed-form cross-check")
     _add_sweep_options(p_sweep, samples=100)
-    p_sweep.add_argument("--json", help="write the machine-readable report here")
+    p_sweep.add_argument("--json", action=_Once, help="write the machine-readable report here")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ce = sub.add_parser("counterexample", help="search for conformal, non-totally-geodesic instances")
     _add_sweep_options(p_ce, samples=200)
-    p_ce.add_argument("--max-print", type=_ascii_int, default=5)
+    p_ce.add_argument("--max-print", action=_Once, type=_ascii_int, default=5)
     p_ce.set_defaults(func=cmd_counterexample)
     return parser
 

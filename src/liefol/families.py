@@ -93,10 +93,6 @@ _BLOCK2_PARAMS = ("s14", "s24", "t14", "t15", "t24", "t25")
 _SO2_PARAMS = ("x1", "x2", "y1", "y2", "t14", "t24", "theta4")
 
 
-def _as_frame(signature: MetricFrame | Sequence[int]) -> MetricFrame:
-    return signature if isinstance(signature, MetricFrame) else MetricFrame(tuple(signature))
-
-
 def family_dimension(family: FamilyId) -> int:
     return len(_BASIS_NAMES[family])
 
@@ -145,16 +141,17 @@ class FamilySpec:
         cls,
         family: FamilyId | str,
         params: Mapping[str, ScalarLike] | None = None,
-        signature: MetricFrame | Sequence[int] | None = None,
+        signature: Sequence[int] | None = None,
     ) -> "FamilySpec":
         """Normalize: unknown names rejected, missing names default to zero.
 
+        The signature is a sequence of +-1 causal characters, all +1 if None.
         For the circle-factor families theta4 defaults to its determined value
         rho*t14/(x1 + y2) when x1 + y2 != 0, and to 0 (the free direction)
         otherwise.
         """
         fam = FamilyId.parse(family) if isinstance(family, str) else family
-        frame = _as_frame((1,) * family_dimension(fam) if signature is None else signature)
+        frame = MetricFrame((1,) * family_dimension(fam) if signature is None else tuple(signature))
         given = dict(params or {})
         expected = family_parameter_names(fam)
         unknown = set(given) - set(expected)
@@ -466,10 +463,10 @@ def _raw_so2_rows(family: FamilyId, coeffs: Mapping[str, Fraction]) -> dict:
 
 def build_so2_raw_setup(
     family: FamilyId,
-    signature: MetricFrame | Sequence[int],
+    signature: Sequence[int],
     coeffs: Mapping[str, ScalarLike],
 ) -> FoliationSetup:
-    """The unreduced circle-factor ansatz: generic vertical-valued mixed rows.
+    """The unreduced circle-factor ansatz: generic vertical-valued mixed rows, signature six +-1 causal characters.
 
     No Jacobi constraints are imposed (the result is usually not a Lie
     algebra); this is the table on which the conformality criterion
@@ -482,7 +479,7 @@ def build_so2_raw_setup(
     if unknown:
         raise StructureError(f"unknown raw coefficients {sorted(unknown)}")
     v = {name: as_scalar(coeffs.get(name, ZERO)) for name in _RAW_SO2_COEFFS}
-    frame = _as_frame(signature)
+    frame = MetricFrame(tuple(signature))
     if frame.dim != 6:
         raise StructureError("circle-factor families are six dimensional")
     return FoliationSetup(StructureTensor.from_rows(6, _raw_so2_rows(family, v)), frame, (0, 1, 2, 3), (4, 5))

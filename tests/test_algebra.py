@@ -97,43 +97,10 @@ class TestStructureTensor:
         assert t.c[1][0] == (F(0), F(0), F(-2))
         assert t.c[1][1] == (F(0), F(0), F(0))
 
-    def test_rejects_asymmetric_full_table(self):
-        c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
-        c[0][1][0] = F(1)  # mirror left zero
-        frozen = tuple(tuple(tuple(v) for v in row) for row in c)
-        with pytest.raises(StructureError, match="antisymmetry"):
-            StructureTensor(2, frozen)
-
-    def test_antisymmetry_error_names_the_first_violation(self):
-        c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-        c[0][2][1] = F(1)  # mirror left zero
-        c[1][0][2] = F(-3)  # mirror left zero, earlier in (i, j, k) order
-        frozen = tuple(tuple(tuple(v) for v in row) for row in c)
-        with pytest.raises(StructureError) as info:
-            StructureTensor(3, frozen)
-        assert str(info.value) == "antisymmetry violated at c[0][1][2] (= 0, mirror -3)"
-
-    @pytest.mark.parametrize("digits", [3001, 5000])
-    def test_huge_antisymmetry_violation_gives_a_short_message(self, digits):
-        # 5000 digits is more than str() converts; 3001 once gave a 6051-character message.
-        big = F(10**digits - 1, 7)
-        c = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
-        c[0][1][0], c[1][0][0] = big, big  # the mirror should be -big
-        frozen = tuple(tuple(tuple(v) for v in row) for row in c)
-        with pytest.raises(StructureError) as info:
-            StructureTensor(2, frozen)
-        message = str(info.value)
-        assert message.startswith("antisymmetry violated at c[0][1][0] (= 9999") and "..." in message
-        assert len(message) <= 300 and "\n" not in message
-
-    @pytest.mark.parametrize("entry, mirror, kind", [(0.5, -0.5, "float"), (True, -1, "bool")])
-    def test_rejects_float_and_bool_entries(self, entry, mirror, kind):
-        # Antisymmetric, so only the entry types are wrong.
-        c = [[[0] * 2 for _ in range(2)] for _ in range(2)]
-        c[0][1][0], c[1][0][0] = entry, mirror
-        frozen = tuple(tuple(tuple(v) for v in row) for row in c)
-        with pytest.raises(StructureError, match=f"must be int or Fraction, got {kind}"):
-            StructureTensor(2, frozen)
+    def test_constructor_is_not_a_way_in(self):
+        c = tuple(tuple((F(0), F(0)) for _ in range(2)) for _ in range(2))
+        with pytest.raises(TypeError):
+            StructureTensor(2, c)
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -149,8 +116,8 @@ class TestStructureTensor:
     )
     def test_from_rows_entry_kinds(self, entry, message):
         # One entry of a row of Fractions replaced: a rejected kind keeps
-        # as_scalar's message; an accepted one gives the table the validating
-        # constructor accepts, with the entry as a Fraction.
+        # as_scalar's message; an accepted one gives the dense antisymmetric
+        # table, with the entry as a Fraction.
         row = [F(0), F(1, 2), entry, F(0), F(-2)]
         rows = {(0, 1): row, (1, 3): [F(0), F(0), F(0), F(7, 3), F(0)]}
         if message is not None:
@@ -163,7 +130,7 @@ class TestStructureTensor:
         for (i, j), values in rows.items():
             c[i][j] = [F(v) for v in values]
             c[j][i] = [-F(v) for v in values]
-        assert tensor == StructureTensor(5, tuple(tuple(map(tuple, block)) for block in c))
+        assert (tensor.dim, tensor.c) == (5, tuple(tuple(map(tuple, block)) for block in c))
         assert all(type(v) is Fraction for block in tensor.c for vec in block for v in vec)
 
     def test_rejects_bad_pairs(self):

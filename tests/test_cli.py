@@ -494,6 +494,79 @@ class TestOutputThroughSymlink:
         assert sorted((p.name, p.is_symlink()) for p in tmp_path.iterdir()) == [("a.json", True), ("b.json", True)]
 
 
+class TestOutputNamesADirectory:
+    """An output path whose last component is empty, "." or ".." names a directory and exits 3 before any write."""
+
+    @pytest.mark.parametrize("suffix", ["/", "/.", "/.."])
+    @pytest.mark.parametrize("command", ["family", "sweep"])
+    def test_existing_file_is_left_byte_for_byte(self, command, suffix, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("sweep ran before the output path was checked")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        monkeypatch.chdir(tmp_path)
+        previous = b"previous\x00\xff\n"
+        (tmp_path / "data.txt").write_bytes(previous)
+        assert main([*OUTPUT_RUNS[command][0], "data.txt" + suffix]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: data.txt{suffix}: names a directory\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["data.txt"]
+        assert (tmp_path / "data.txt").read_bytes() == previous
+
+    @pytest.mark.parametrize("path", ["newdir/", "newdir/.", "sub/newdir/"])
+    @pytest.mark.parametrize("command", ["family", "sweep"])
+    def test_missing_directory_is_not_created_as_a_file(self, command, path, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main([*OUTPUT_RUNS[command][0], path]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {path}: names a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"] and not any((tmp_path / "sub").iterdir())
+
+
+# Per command: argv without the repeated option, then each single-value option with two values to give it.
+REPEATED_OPTIONS = {
+    "family": (["family", "su2"], {"--epsilon": ("1,1,1,1,1", "1,-1,1,1,1"), "--out": ("a.json", "a.json")}),
+    "sweep": (
+        ["sweep", "su2", "--signatures", "riemannian-only"],
+        {"--samples": ("1", "2"), "--seed": ("1", "1"), "--range": ("3", "4"), "--json": ("a.json", "b.json")},
+    ),
+    "counterexample": (
+        ["counterexample", "su2", "--samples", "1"],
+        {"--seed": ("0", "0"), "--range": ("3", "3"), "--max-print": ("1", "0")},
+    ),
+}
+
+
+class TestRepeatedOption:
+    """A single-value option given twice exits 3 with one line, whether or not the values differ."""
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command, (_, options) in REPEATED_OPTIONS.items() for option in options],
+    )
+    @pytest.mark.parametrize("spelling", ["separate", "equals"])
+    def test_second_occurrence_exits_three_before_the_run(
+        self, command, option, spelling, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(config):
+            raise AssertionError("ran with a repeated option")
+
+        monkeypatch.setattr("liefol.cli.run_sweep", no_run)
+        monkeypatch.setattr("liefol.cli.find_conjecture_counterexamples", no_run)
+        monkeypatch.chdir(tmp_path)
+        argv, options = REPEATED_OPTIONS[command]
+        given = [
+            part for value in options[option]
+            for part in ([option, value] if spelling == "separate" else [f"{option}={value}"])
+        ]
+        assert usage_exit([*argv, *given]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument {option}: given more than once\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepCommand:
     def test_summary_and_json(self, tmp_path, capsys):
         json_path = str(tmp_path / "report.json")

@@ -82,6 +82,12 @@ class TestSpecCreation:
         with pytest.raises(StructureError):
             FamilySpec.create("su2", signature=(1, 1, 1))
 
+    def test_list_signature_accepted(self):
+        # Search entries carry signatures as lists; the spec holds a MetricFrame of the same tuple.
+        spec = FamilySpec.create("su2", {"b11": 1}, [1, -1, 1, 1, -1])
+        assert spec == FamilySpec.create("su2", {"b11": 1}, (1, -1, 1, 1, -1))
+        assert spec.signature.epsilon == (1, -1, 1, 1, -1)
+
     def test_rational_strings_accepted(self):
         spec = FamilySpec.create("sl2r", {"b11": "3/4", "rho": "-2"})
         assert spec.params["b11"] == F(3, 4)
@@ -340,6 +346,12 @@ class TestRawAnsatz:
     def test_float_signature_rejected(self):
         with pytest.raises(StructureError, match="causal characters"):
             build_so2_raw_setup(FamilyId.SU2xSO2, (1.0, 1, 1, 1, 1, 1), {})
+
+    def test_list_signature_accepted(self):
+        sig = [1, -1, 1, 1, -1, 1]
+        setup = build_so2_raw_setup(FamilyId.SU2xSO2, sig, {"x1": 1, "y2": 1})
+        assert setup == build_so2_raw_setup(FamilyId.SU2xSO2, tuple(sig), {"x1": 1, "y2": 1})
+        assert setup.frame.epsilon == tuple(sig)
 
     def test_lemma_biconditional_spot_checks(self):
         rng = random.Random(13)

@@ -46,6 +46,20 @@ def abelian_setup(dim=4) -> FoliationSetup:
     return FoliationSetup(t, MetricFrame((1,) * dim), tuple(range(dim - 2)), (dim - 2, dim - 1))
 
 
+def table_from_dense(c) -> StructureTensor:
+    """The table of a dense dim x dim x dim c, built by from_rows from its rows i < j.
+
+    from_rows implies the mirror rows, so c's antisymmetry is asserted here
+    first: c[i][j][k] == -c[j][i][k] for every i, j, k, diagonal included.
+    """
+    dim = len(c)
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                assert c[i][j][k] == -c[j][i][k], f"not antisymmetric at c[{i}][{j}][{k}]"
+    return StructureTensor.from_rows(dim, {(i, j): c[i][j] for i in range(dim) for j in range(i + 1, dim)})
+
+
 def family_member(family: FamilyId, rng: random.Random, signature: tuple[int, ...]) -> FamilySpec:
     """A seeded member of the family; circle families draw from their feasible stratum."""
     [(params, _)], _ = _draw_params(rng, family, 6, (signature[-2] * signature[-1],))
@@ -155,11 +169,11 @@ class TestConnection:
         rng = random.Random(17)
         setups = [random_family_setup(rng)[1] for _ in range(12)]
         setups += [self.random_raw_setup(rng) for _ in range(40)]
-        # A table built directly with int entries.
+        # A table built from int entries.
         raw = setups[-1]
         ints = tuple(tuple(tuple(int(2 * v) for v in vec) for vec in row) for row in raw.tensor.c)
         setups.append(
-            FoliationSetup(StructureTensor(raw.dim, ints), raw.frame, raw.vertical, raw.horizontal)
+            FoliationSetup(table_from_dense(ints), raw.frame, raw.vertical, raw.horizontal)
         )
         assert sum(not jacobi_residual(setup.tensor).is_zero for setup in setups) > len(setups) // 2
         skipped = 0
@@ -357,7 +371,7 @@ class TestClassify:
             assert len(str(err.value)) <= 300
 
     def test_int_entry_table_keeps_exact_fraction_entries(self):
-        # A table built directly with int entries: every form entry, the mean
+        # A table built from int entries: every form entry, the mean
         # curvature and the conformal vector are still Fractions, equal to
         # those of the same table with Fraction entries.
         names = family_parameter_names(FamilyId.SU2xSO2)
@@ -366,7 +380,7 @@ class TestClassify:
         )
         ints = tuple(tuple(tuple(int(v) for v in vec) for vec in row) for row in setup.tensor.c)
         int_setup = FoliationSetup(
-            StructureTensor(setup.dim, ints), setup.frame, setup.vertical, setup.horizontal
+            table_from_dense(ints), setup.frame, setup.vertical, setup.horizontal
         )
         report = classify(int_setup, require_jacobi=False)
         assert report == classify(setup, require_jacobi=False)
@@ -593,7 +607,7 @@ def assert_scaling_covariance(setup: FoliationSetup, scale: Fraction) -> None:
     residual is quadratic in c.
     """
     table = tuple(tuple(tuple(scale * v for v in vec) for vec in row) for row in setup.tensor.c)
-    scaled = FoliationSetup(StructureTensor(setup.dim, table), setup.frame, setup.vertical, setup.horizontal)
+    scaled = FoliationSetup(table_from_dense(table), setup.frame, setup.vertical, setup.horizontal)
     before, after = classify(setup, require_jacobi=False), classify(scaled, require_jacobi=False)
     assert report_verdicts(after) == report_verdicts(before)
 
@@ -695,8 +709,7 @@ def change_of_basis(setup: FoliationSetup, p) -> FoliationSetup:
                         for m, qkm in q_rows[k] if cijk else ():
                             out[m] += pai * pbj * cijk * qkm
             table[a].append(tuple(out))
-    tensor = StructureTensor(dim, tuple(map(tuple, table)))
-    return FoliationSetup(tensor, setup.frame, setup.vertical, setup.horizontal)
+    return FoliationSetup(table_from_dense(table), setup.frame, setup.vertical, setup.horizontal)
 
 
 def permute_basis(setup: FoliationSetup, order) -> tuple[FoliationSetup, list]:
@@ -709,7 +722,7 @@ def permute_basis(setup: FoliationSetup, order) -> tuple[FoliationSetup, list]:
     c, eps = setup.tensor.c, setup.frame.epsilon
     table = tuple(tuple(tuple(c[i][j][k] for k in order) for j in order) for i in order)
     moved = FoliationSetup(
-        StructureTensor(setup.dim, table),
+        table_from_dense(table),
         MetricFrame(tuple(eps[i] for i in order)),
         tuple(new[i] for i in setup.vertical),
         tuple(new[h] for h in setup.horizontal),
