@@ -481,11 +481,15 @@ def cmd_counterexample(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors print one line and exit with EXIT_PARSE.
+    """Usage errors print one line and exit with EXIT_PARSE; a list such as -1,1,1 is a value, as -1 is.
 
     argparse's own exit code, 2, is this CLI's Jacobi failure.  Subparsers are
     built from the parser's class, so this covers every command.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[0-9]+(,[+-]?[0-9]+)*$|-[0-9]*\.[0-9]+$")
 
     def error(self, message: str):
         # argparse echoes rejected values in full (an invalid choice, unrecognized

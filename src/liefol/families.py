@@ -16,8 +16,8 @@ eps_X x2 + eps_Y y1 = 0):
     t14*y2 - (rho + t24)*y1 = 0
     (x1 + y2)*theta4 = rho*t14
 
-Constructors reject parameter sets violating any of these, naming the relation.
-theta4 is determined when x1 + y2 != 0 and free otherwise.
+Constructors reject parameter sets violating any of these, naming the relation, so
+every table build_family returns is a Lie algebra (tests/test_family_jacobi_certificate.py).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .algebra import (
     StructureTensor,
     as_scalar,
     format_scalar,
-    require_lie_algebra,
 )
 
 TWO = Fraction(2)
@@ -334,22 +333,18 @@ def build_family(spec: FamilySpec) -> FoliationSetup:
     Circle-factor families are validated against the conformality constraint
     (x1 = y2, eps_X x2 + eps_Y y1 = 0) and the three residual Jacobi relations;
     violations raise ConstraintError carrying the failed relation, its
-    residual echoed shortened (reprlib).  The table is assemble_family_table's;
-    a Jacobi residual on it raises JacobiError, a ConstraintError too, because
-    it would mean the paper's sign pattern is wrong for the spec.
+    residual echoed shortened (reprlib).  The table is assemble_family_table's, not
+    Jacobi-checked: tests/test_family_jacobi_certificate.py proves it a Lie algebra.
     """
     if spec.family in CIRCLE_FAMILIES:
-        failed = so2_failed_relation(spec.params, *spec.signature.epsilon[-2:])
-        if failed:
+        if failed := so2_failed_relation(spec.params, *spec.signature.epsilon[-2:]):
             relation, residual = failed
             raise ConstraintError(
                 relation,
                 f"circle-family relation {relation} fails (residual {reprlib.repr(format_scalar(residual))})",
             )
-    tensor = assemble_family_table(spec)
-    require_lie_algebra(tensor)
-    dim = tensor.dim
-    return FoliationSetup(tensor, spec.signature, tuple(range(dim - 2)), (dim - 2, dim - 1))
+    dim = family_dimension(spec.family)
+    return FoliationSetup(assemble_family_table(spec), spec.signature, tuple(range(dim - 2)), (dim - 2, dim - 1))
 
 
 def closed_form_minimal(spec: FamilySpec) -> bool:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liefol import families
-from liefol.algebra import ConstraintError, JacobiError, StructureError, StructureTensor, jacobi_residual
+from liefol.algebra import ConstraintError, StructureError, StructureTensor, jacobi_residual
 from liefol.families import (
     FamilyId,
     FamilySpec,
@@ -180,23 +180,6 @@ class TestBuildFamily:
         t1 = build_family(FamilySpec.create("su2", params, (1,) * 5)).tensor
         t2 = build_family(FamilySpec.create("su2", params, (1, -1, -1, 1, -1))).tensor
         assert t1 == t2
-
-
-def flip_theta_sign(monkeypatch):
-    """Make build_family assemble its tables with -theta, which fails Jacobi unless theta = 0."""
-    real = families.closed_form_theta
-    monkeypatch.setattr(families, "closed_form_theta", lambda spec: tuple(-t for t in real(spec)))
-
-
-class TestBuildFamilyJacobiGate:
-    def test_flipped_theta_raises_the_gate_error(self, monkeypatch):
-        spec = FamilySpec.create("su2", {"b11": 2, "c22": 3})
-        flip_theta_sign(monkeypatch)
-        with pytest.raises(JacobiError) as err:
-            build_family(spec)
-        assert err.value.relation == "jacobi residual = 0"
-        assert err.value.report == jacobi_residual(assemble_family_table(spec))
-        assert not err.value.report.is_zero
 
 
 class TestCircleConstraints:

@@ -1,9 +1,11 @@
 """The Jacobi residual has one gate: every verdict's Lie-algebra check goes through it.
 
 `jacobi_residual` may be called from `algebra.require_lie_algebra`, the gate
-that classify, connection_coefficients, build_family and `liefol check` share,
-and from `verifier.oracle_solve_theta`, which solves for theta from the
-residual itself.  A call anywhere else in src/liefol is a second gate.
+that classify, connection_coefficients and `liefol check` share, and from
+`verifier.oracle_solve_theta`, which solves for theta from the residual
+itself.  A call anywhere else in src/liefol is a second gate.  `build_family`
+no longer shares the gate: its tables are Lie algebras by the polynomial
+certificate in tests/test_family_jacobi_certificate.py.
 """
 
 import ast

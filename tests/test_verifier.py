@@ -486,7 +486,7 @@ class TestSweepBuildsOncePerDraw:
                 case = by_class[sig[-2] * sig[-1]]
                 spec = FamilySpec(family, case.params, MetricFrame(sig))
                 circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
-                # build_family has checked the Jacobi identity.
+                # A family table is a Lie algebra (tests/test_family_jacobi_certificate.py).
                 setup = build_family(FamilySpec.create(family, spec.params, sig))
                 report = classify(setup, require_jacobi=False)
                 # Every frame-free pick equals classify, and sff_H its own entry point,
