@@ -227,6 +227,11 @@ def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
     return tuple(theta)
 
 
+def _difference(a, b):
+    """a - b for a != b, without a zero operand."""
+    return a - b if a and b else a or -b
+
+
 def so2_failed_relation(
     params: Mapping[str, Fraction | int], eps_x: int, eps_y: int
 ) -> tuple[str, Fraction | int] | None:
@@ -249,16 +254,25 @@ def so2_failed_relation(
     lhs, rhs = (x2 if eps_x > 0 else -x2), (-y1 if eps_y > 0 else y1)
     if lhs != rhs:
         return "eps_X*x2 + eps_Y*y1 = 0", lhs - rhs
-    t14, t24, rho = params["t14"], params["t24"], params["rho"]
-    lhs, rhs = t14 * x2 + rho * y2, t24 * x1
+    t14, t24, rho, theta4 = params["t14"], params["t24"], params["rho"], params["theta4"]
+    # Accepted draws lie on degenerate strata, where most of these factors are
+    # zero.  A product with a zero factor is not formed, 0 standing for it, nor
+    # a sum or difference with a zero term: each would build a Fraction.
+    first, second = t14 * x2 if t14 and x2 else 0, rho * y2 if rho and y2 else 0
+    lhs = first + second if first and second else first or second
+    rhs = t24 * x1 if t24 and x1 else 0
     if lhs != rhs:
-        return "t14*x2 + rho*y2 - t24*x1 = 0", lhs - rhs
-    lhs, rhs = t14 * y2, (rho + t24) * y1
+        return "t14*x2 + rho*y2 - t24*x1 = 0", _difference(lhs, rhs)
+    span = rho + t24 if rho and t24 else rho or t24
+    lhs = t14 * y2 if t14 and y2 else 0
+    rhs = span * y1 if span and y1 else 0
     if lhs != rhs:
-        return "t14*y2 - (rho + t24)*y1 = 0", lhs - rhs
-    lhs, rhs = (x1 + y2) * params["theta4"], rho * t14
+        return "t14*y2 - (rho + t24)*y1 = 0", _difference(lhs, rhs)
+    span = x1 + y2 if x1 and y2 else x1 or y2
+    lhs = span * theta4 if span and theta4 else 0
+    rhs = rho * t14 if rho and t14 else 0
     if lhs != rhs:
-        return "(x1 + y2)*theta4 = rho*t14", lhs - rhs
+        return "(x1 + y2)*theta4 = rho*t14", _difference(lhs, rhs)
     return None
 
 
@@ -403,6 +417,29 @@ def _tg_terms(
 
 def _eps_scale(factor: tuple[int, int, int] | None, eps: Sequence[int]) -> int:
     return 1 if factor is None else eps[factor[0]] + factor[1] * eps[factor[2]]
+
+
+def _failing(factor: tuple[int, int, int] | None, minus: Sequence[int]) -> int:
+    """The signatures where _eps_scale(factor, eps) is nonzero, as a bitmask.
+
+    minus[k] is the mask of the signatures with eps_k = -1, so eps_i != eps_j
+    exactly on minus[i] ^ minus[j], and eps_i + s*eps_j is nonzero exactly
+    where (eps_i = eps_j) == (s > 0).  A circle condition (None) has no eps
+    factor and fails everywhere: -1 has every bit set.
+    """
+    if factor is None:
+        return -1
+    i, s, j = factor
+    opposite = minus[i] ^ minus[j]
+    return ~opposite if s > 0 else opposite
+
+
+def _conditions_hold(conditions: Iterable[tuple], minus: Sequence[int], within: int) -> int:
+    """The signatures of the mask within where every one of nonzero_tg_conditions holds."""
+    failing = 0
+    for _, factor in conditions:
+        failing |= _failing(factor, minus)
+    return within & ~failing
 
 
 def nonzero_tg_conditions(family: FamilyId, params: Mapping[str, Fraction]) -> Iterator[tuple]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .algebra import HALF, ZERO, FoliationSetup, require_lie_algebra
 
@@ -128,15 +128,20 @@ class FrameFreeVertical(NamedTuple):
         opposite = tuple((i, j) for i, j, hx, hy in pairs if hx[1] or hy[1])
         return cls(setup.dim, (x, y), tuple(pairs), same, opposite)
 
-    def totally_geodesic(self, eps: tuple[int, ...]) -> bool:
-        """Whether sff_V vanishes for causal characters eps.
+    def totally_geodesic(self, minus: Sequence[int], within: int) -> int:
+        """The signatures of the mask within whose sff_V vanishes, as a mask.
 
-        eps_i eps_j picks each pair's half, and no sign makes it zero.
+        minus[k] is the mask of the signatures with eps_k = -1, so
+        eps_i != eps_j exactly on minus[i] ^ minus[j].  eps_i eps_j picks
+        each pair's half, and no sign makes it zero: a pair in same_nonzero
+        bends sff_V off that mask, a pair in opposite_nonzero on it.
         """
-        return not (
-            any(eps[i] == eps[j] for i, j in self.same_nonzero)
-            or any(eps[i] != eps[j] for i, j in self.opposite_nonzero)
-        )
+        bent = 0
+        for i, j in self.same_nonzero:
+            bent |= ~(minus[i] ^ minus[j])
+        for i, j in self.opposite_nonzero:
+            bent |= minus[i] ^ minus[j]
+        return within & ~bent
 
     def _picks(self, eps: tuple[int, ...]):
         """(i, j, X and Y halves of sff_V(e_i, e_j), unsigned) per vertical pair, in sorted (i, j) order."""

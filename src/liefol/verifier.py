@@ -34,6 +34,7 @@ from .families import (
     COMPACT_FAMILIES,
     FamilyId,
     FamilySpec,
+    _conditions_hold,
     _family_rows,
     build_family,
     closed_form_minimal,
@@ -192,9 +193,10 @@ def _json_entry(entry: dict, blocks: dict[int, str]) -> str:
 class SweepReport:
     """A sweep's totals and detail entries.
 
-    The entries of one report share their "params" block (one dict per draw)
-    and their "signature" block (one list per signature); treat them as
-    read-only.
+    The entries of one report share their "params" block (one dict per draw),
+    their "signature" block (one list per signature) and their "witnessPair",
+    "witnessValue" and "meanCurvature" blocks (one list per distinct text);
+    treat them as read-only.
     """
 
     config: SweepConfig
@@ -352,18 +354,61 @@ def _describe(family: FamilyId, params_text: dict, signature: list[int]) -> dict
     return {"family": family.value, "params": params_text, "signature": signature}
 
 
+def _texts(vector: Sequence[Fraction]) -> tuple[str, ...]:
+    """The components of vector as format_scalar writes them; most are zero, and a zero is "0"."""
+    return tuple(format_scalar(v) if v else "0" for v in vector)
+
+
+class _Blocks(dict):
+    """One list per distinct tuple of texts, so a report's entries share their witness and curvature blocks."""
+
+    def __missing__(self, texts: tuple[str, ...]) -> list[str]:
+        block = self[texts] = list(texts)
+        return block
+
+
 def _witness_entry(
     entry: dict,
     names: Sequence[str],
     violated: str | None,
     witness: tuple[tuple[int, int], tuple[Fraction, ...]],
+    block,
 ) -> dict:
-    """Add the first violated closed-form condition and witness, the first nonzero sff_V pair, to entry."""
+    """Add the first violated closed-form condition and witness, the first nonzero sff_V pair, to entry.
+
+    block turns a tuple of texts into the entry's list: list, or the lookup of
+    a report's _Blocks, which shares one list per distinct tuple.
+    """
     (i, j), vec = witness
     entry["violatedCondition"] = violated
-    entry["witnessPair"] = [names[i], names[j]]
-    entry["witnessValue"] = [format_scalar(v) for v in vec]
+    entry["witnessPair"] = block((names[i], names[j]))
+    entry["witnessValue"] = block(_texts(vec))
     return entry
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _signature_masks(signatures: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(minus, served): a sweep's signature list as bitmasks, bit n standing for signatures[n].
+
+    minus[k] holds the signatures with eps_k = -1, so a verdict that depends
+    on the causal characters only through products eps_i*eps_j is decided
+    for every signature at once: eps_i != eps_j exactly on minus[i] ^ minus[j].
+    served[s] holds the eps_X*eps_Y class s, the class -1 being
+    minus[X] ^ minus[Y].  One signature gives the masks of a single frame.
+    """
+    minus = tuple(
+        int("".join("1" if eps[k] < 0 else "0" for eps in reversed(signatures)), 2)
+        for k in range(len(signatures[0]))
+    )
+    split = minus[-2] ^ minus[-1]
+    return minus, {1: ((1 << len(signatures)) - 1) & ~split, -1: split}
 
 
 class _Case(NamedTuple):
@@ -385,8 +430,8 @@ def _draw_cases(config: SweepConfig):
 
     Each entry of a _draw_params draw is built and validated once: once per
     draw for the semisimple families, once per class for the circle families,
-    whose x2 depends on it.  Per signature only total geodesy is left to pick,
-    on both sides.
+    whose x2 depends on it.  Only total geodesy is left, on both sides, and
+    the consumers decide it per class for all its signatures at once.
     """
     family = config.family
     # The first signature of each eps_X*eps_Y class stands for that class.
@@ -417,14 +462,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     Deterministic given the config (including the seed); disagreements are the
     machine-checked failures of the family's classification statements and are
-    expected to be empty.
+    expected to be empty.  Per draw and class every verdict is a mask over the
+    signatures (bit n for signatures[n], see _signature_masks); entries
+    are written per set bit, in signature order.
     """
     family = config.family
     signatures = enumerate_signatures(config)
     names = family_basis_names(family)
     track_conjectures = family not in CIRCLE_FAMILIES
     compact_type = family in COMPACT_FAMILIES
-    signature_lists = {eps: list(eps) for eps in signatures}
+    signature_lists = [list(eps) for eps in signatures]
+    minus, served = _signature_masks(signatures)
+    block = _Blocks().__getitem__
 
     disagreements: list[dict] = []
     tg_details: list[dict] = []
@@ -436,49 +485,64 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     for attempts, cases in _draw_cases(config):
         resampled += attempts
-        for eps in signatures:
+        # This draw's masks: geometric and closed-form total geodesy, disagreements,
+        # conformal cases that are not totally geodesic and those that are not minimal.
+        geodesic = closed_geodesic = disagree = bent = curved = 0
+        for s, case in cases.items():
+            within = served[s]
+            conformal, semi, minimal = case.flags
+            case_geodesic = case.vertical.totally_geodesic(minus, within)
+            case_closed = _conditions_hold(case.conditions, minus, within)
+            count = within.bit_count()
+            total += count
+            n_conformal += count if conformal else 0
+            n_semi += count if semi else 0
+            n_minimal += count if minimal else 0
+            n_geodesic += case_geodesic.bit_count()
+            geodesic |= case_geodesic
+            closed_geodesic |= case_closed
+            disagree |= case_geodesic ^ case_closed if case.agrees else within
+            if track_conjectures and conformal:
+                bent |= within ^ case_geodesic
+                if not minimal:
+                    curved |= within
+        tg_count += bent.bit_count()
+        minimality_count += curved.bit_count()
+
+        for n in _bits(disagree):
+            eps = signatures[n]
             case = cases[eps[-2] * eps[-1]]
             conformal, semi, minimal = case.flags
-            geodesic = case.vertical.totally_geodesic(eps)
+            entry = _describe(family, case.params_text, signature_lists[n])
+            entry["geometric"] = {
+                "conformal": conformal,
+                "semiRiemannian": semi,
+                "minimal": minimal,
+                "totallyGeodesic": bool(geodesic >> n & 1),
+            }
+            entry["closedForm"] = {
+                "conformal": True,
+                "semiRiemannian": case.closed[0],
+                "minimal": case.closed[1],
+                "totallyGeodesic": bool(closed_geodesic >> n & 1),
+            }
+            disagreements.append(entry)
+
+        for n in itertools.islice(_bits(bent), DETAIL_CAP - len(tg_details)):
+            eps = signatures[n]
+            case = cases[eps[-2] * eps[-1]]
             violated = first_violated_condition(case.conditions, eps)
-            total += 1
-            n_conformal += conformal
-            n_semi += semi
-            n_minimal += minimal
-            n_geodesic += geodesic
+            entry = _describe(family, case.params_text, signature_lists[n])
+            detail = _witness_entry(entry, names, violated, case.vertical.first_nonzero(eps), block)
+            detail["compactType"] = compact_type
+            tg_details.append(detail)
 
-            if not case.agrees or geodesic != (violated is None):
-                entry = _describe(family, case.params_text, signature_lists[eps])
-                entry["geometric"] = {
-                    "conformal": conformal,
-                    "semiRiemannian": semi,
-                    "minimal": minimal,
-                    "totallyGeodesic": geodesic,
-                }
-                entry["closedForm"] = {
-                    "conformal": True,
-                    "semiRiemannian": case.closed[0],
-                    "minimal": case.closed[1],
-                    "totallyGeodesic": violated is None,
-                }
-                disagreements.append(entry)
-
-            if track_conjectures and conformal:
-                if not geodesic:
-                    tg_count += 1
-                    if len(tg_details) < DETAIL_CAP:
-                        entry = _describe(family, case.params_text, signature_lists[eps])
-                        detail = _witness_entry(entry, names, violated, case.vertical.first_nonzero(eps))
-                        detail["compactType"] = compact_type
-                        tg_details.append(detail)
-                if not minimal:
-                    minimality_count += 1
-                    if len(minimality_details) < DETAIL_CAP:
-                        detail = _describe(family, case.params_text, signature_lists[eps])
-                        detail["meanCurvature"] = [
-                            format_scalar(v) for v in case.horizontal.mean_curvature(eps)
-                        ]
-                        minimality_details.append(detail)
+        for n in itertools.islice(_bits(curved), DETAIL_CAP - len(minimality_details)):
+            eps = signatures[n]
+            case = cases[eps[-2] * eps[-1]]
+            detail = _describe(family, case.params_text, signature_lists[n])
+            detail["meanCurvature"] = block(_texts(case.horizontal.mean_curvature(eps)))
+            minimality_details.append(detail)
 
     return SweepReport(
         config=config,
@@ -504,11 +568,12 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
     """Search for conformal, semisimple-vertical members that are not totally geodesic.
 
     Only meaningful for the semisimple families (the premise needs a
-    semisimple subgroup).  Per draw one build as in the sweep; per signature a
-    hit test picked from the frame-free forms; per hit, classify on the draw's
-    table in that frame re-verifies the hit (ReverificationError if it does
-    not) and gives the sff_V witness.  compactType, from the Killing form of
-    the vertical block, is computed once per draw with a hit.
+    semisimple subgroup).  Per draw one build as in the sweep; per class the
+    hits, a mask over the signatures picked from the frame-free forms; per
+    hit, in signature order, classify on the draw's table in that frame
+    re-verifies the hit (ReverificationError if it does not) and gives the
+    sff_V witness.  compactType, from the Killing form of the vertical block,
+    is computed once per draw with a hit.
     """
     family = config.family
     if family in CIRCLE_FAMILIES:
@@ -518,14 +583,19 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
         )
     signatures = enumerate_signatures(config)
     names = family_basis_names(family)
+    minus, served = _signature_masks(signatures)
     results: list[dict] = []
     for _, cases in _draw_cases(config):
+        hits = 0
+        for s, case in cases.items():
+            if case.flags[0]:  # conformal
+                within = served[s]
+                hits |= within ^ case.vertical.totally_geodesic(minus, within)
         compact_type = None
-        for eps in signatures:
+        for n in _bits(hits):
+            eps = signatures[n]
             case = cases[eps[-2] * eps[-1]]
-            conformal, _, minimal = case.flags
-            if not conformal or case.vertical.totally_geodesic(eps):
-                continue
+            minimal = case.flags[2]
             setup = case.setup
             hit = FoliationSetup(setup.tensor, MetricFrame(eps), setup.vertical, setup.horizontal)
             report = classify(hit, require_jacobi=False)
@@ -539,7 +609,7 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
                 compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
             violated = first_violated_condition(case.conditions, eps)
             witness = report.totally_geodesic_witnesses[0]
-            entry = _witness_entry(_describe(family, case.params_text, list(eps)), names, violated, witness)
+            entry = _witness_entry(_describe(family, case.params_text, list(eps)), names, violated, witness, list)
             entry["compactType"] = compact_type
             entry["minimal"] = report.minimal
             results.append(entry)

@@ -229,7 +229,13 @@ class TestMutantsFailTheCertificate:
 
     @pytest.mark.parametrize(
         "side, mutant",
-        [("t24 * x1", "t14 * x1"), ("(rho + t24) * y1", "(rho - t24) * y1"), ("rho * t14", "rho * t24")],
+        [
+            # so2_failed_relation skips zero factors and terms, so each side is
+            # changed together with its zero tests.
+            ("t24 * x1 if t24 and x1", "t14 * x1 if t14 and x1"),
+            ("rho + t24 if rho and t24 else rho or t24", "rho - t24 if rho and t24 else rho or -t24"),
+            ("rho * t14 if rho and t14", "rho * t24 if rho and t24"),
+        ],
         ids=["R3", "R4", "R5"],
     )
     def test_one_relation_side_changed(self, side, mutant):

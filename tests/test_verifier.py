@@ -21,6 +21,7 @@ from liefol.families import (
     CIRCLE_FAMILIES,
     FamilyId,
     FamilySpec,
+    _conditions_hold,
     build_family,
     build_so2_raw_setup,
     closed_form_minimal,
@@ -34,6 +35,7 @@ from liefol.families import (
     so2_failed_relation,
 )
 from liefol.geometry import (
+    FrameFreeVertical,
     classify,
     second_fundamental_form_horizontal,
     second_fundamental_form_vertical,
@@ -53,7 +55,9 @@ from liefol.verifier import (
     _draw_cases,
     _draw_params,
     _sample_rng,
+    _signature_masks,
 )
+from test_algebra import record_zero_operands
 from test_families import rejected_sl2rxso2_table, theta_table
 
 F = Fraction
@@ -300,7 +304,7 @@ class TestRunSweep:
         # A closed form that calls every case totally geodesic disagrees exactly
         # where the classifier does not.
         monkeypatch.setattr(verifier, "closed_form_minimal", real)
-        monkeypatch.setattr(verifier, "first_violated_condition", lambda conditions, eps: None)
+        monkeypatch.setattr(verifier, "_conditions_hold", lambda conditions, minus, within: within)
         report = run_sweep(SweepConfig(family=FamilyId.SU2, samples=3, seed=4))
         not_geodesic = report.total_cases - report.flag_counts["totallyGeodesic"]
         assert 0 < len(report.disagreements) == not_geodesic
@@ -445,6 +449,136 @@ class TestReportJson:
             assert {id(entry[key]) for entry in entries} <= set(written)
 
 
+def reference_totally_geodesic(vertical, eps):
+    """Total geodesy of one frame, decided per pair as the sweep did before its signature masks."""
+    return not (
+        any(eps[i] == eps[j] for i, j in vertical.same_nonzero)
+        or any(eps[i] != eps[j] for i, j in vertical.opposite_nonzero)
+    )
+
+
+def reference_run_sweep(config):
+    """run_sweep as a loop over every signature of every draw, kept as the reference for the masks."""
+    family = config.family
+    signatures = enumerate_signatures(config)
+    names = family_basis_names(family)
+    track_conjectures = family not in CIRCLE_FAMILIES
+    compact_type = family in verifier.COMPACT_FAMILIES
+    disagreements, tg_details, minimality_details = [], [], []
+    tg_count = minimality_count = resampled = 0
+    flags = dict.fromkeys(("conformal", "semiRiemannian", "minimal", "totallyGeodesic"), 0)
+    for attempts, cases in _draw_cases(config):
+        resampled += attempts
+        for eps in signatures:
+            case = cases[eps[-2] * eps[-1]]
+            conformal, semi, minimal = case.flags
+            geodesic = reference_totally_geodesic(case.vertical, eps)
+            violated = first_violated_condition(case.conditions, eps)
+            for key, value in zip(flags, (conformal, semi, minimal, geodesic)):
+                flags[key] += value
+            head = {"family": family.value, "params": case.params_text, "signature": list(eps)}
+            if not case.agrees or geodesic != (violated is None):
+                geometric = {"conformal": conformal, "semiRiemannian": semi, "minimal": minimal}
+                closed = {"conformal": True, "semiRiemannian": case.closed[0], "minimal": case.closed[1]}
+                disagreements.append(
+                    dict(
+                        head,
+                        geometric=dict(geometric, totallyGeodesic=geodesic),
+                        closedForm=dict(closed, totallyGeodesic=violated is None),
+                    )
+                )
+            if track_conjectures and conformal and not geodesic:
+                tg_count += 1
+                if len(tg_details) < verifier.DETAIL_CAP:
+                    (i, j), vec = case.vertical.first_nonzero(eps)
+                    tg_details.append(
+                        dict(
+                            head,
+                            violatedCondition=violated,
+                            witnessPair=[names[i], names[j]],
+                            witnessValue=[format_scalar(v) for v in vec],
+                            compactType=compact_type,
+                        )
+                    )
+            if track_conjectures and conformal and not minimal:
+                minimality_count += 1
+                if len(minimality_details) < verifier.DETAIL_CAP:
+                    mean = case.horizontal.mean_curvature(eps)
+                    minimality_details.append(dict(head, meanCurvature=[format_scalar(v) for v in mean]))
+    total = config.samples * len(signatures)
+    return verifier.SweepReport(
+        config=config,
+        signatures_per_draw=len(signatures),
+        total_cases=total,
+        agreements=total - len(disagreements),
+        disagreements=tuple(disagreements),
+        tg_counterexamples=tuple(tg_details),
+        tg_counterexample_count=tg_count,
+        minimality_counterexamples=tuple(minimality_details),
+        minimality_counterexample_count=minimality_count,
+        resampled_draws=resampled,
+        flag_counts=flags,
+    )
+
+
+def mask_modes(family):
+    """Every signature mode, with fixed lists out of product order and from one eps_X*eps_Y class only."""
+    dim = family_dimension(family)
+    mixed = ((-1,) * dim, (1,) * dim, (1, -1) + (1,) * (dim - 2), (1,) * (dim - 1) + (-1,))
+    one_class = ((1,) * (dim - 1) + (-1,), (-1,) + (1,) * (dim - 3) + (-1, 1), (1, -1) + (1,) * (dim - 3) + (-1,))
+    return [
+        {"signature_mode": "all"},
+        {"signature_mode": "riemannian-only"},
+        {"signature_mode": "fixed", "fixed_signatures": mixed},
+        {"signature_mode": "fixed", "fixed_signatures": one_class},
+    ]
+
+
+class TestSignatureMasks:
+    """run_sweep's per-draw signature masks give the per-signature loop's report, byte for byte."""
+
+    @pytest.mark.parametrize("flip_minimal", [False, True], ids=["real", "minimal-flipped"])
+    @pytest.mark.parametrize("family", list(FamilyId))
+    def test_reports_match_the_per_signature_loop(self, family, flip_minimal, monkeypatch):
+        if flip_minimal:
+            # Every case disagrees on minimality, so every signature writes a disagreement entry.
+            real = verifier.closed_form_minimal
+            monkeypatch.setattr(verifier, "closed_form_minimal", lambda spec: not real(spec))
+        kinds = set()
+        for mode in mask_modes(family):
+            samples = 1 if family_dimension(family) == 8 and mode["signature_mode"] == "all" else 6
+            config = SweepConfig(family=family, samples=samples, seed=33, **mode)
+            text = run_sweep(config).to_json()
+            reference = reference_run_sweep(config)
+            assert text == json_dumps_reference(reference), mode
+            kinds.update(
+                key for key in ("disagreements", "tg_counterexamples", "minimality_counterexamples")
+                if getattr(reference, key)
+            )
+        assert ("disagreements" in kinds) == flip_minimal
+        assert ("tg_counterexamples" in kinds) == (family not in CIRCLE_FAMILIES)
+
+    def test_witness_lookups_run_once_per_recorded_entry(self, monkeypatch):
+        counts = {"violated": 0, "witness": 0}
+        violated, first_nonzero = verifier.first_violated_condition, FrameFreeVertical.first_nonzero
+
+        def counting_violated(conditions, eps):
+            counts["violated"] += 1
+            return violated(conditions, eps)
+
+        def counting_first_nonzero(self, eps):
+            counts["witness"] += 1
+            return first_nonzero(self, eps)
+
+        monkeypatch.setattr(verifier, "first_violated_condition", counting_violated)
+        monkeypatch.setattr(FrameFreeVertical, "first_nonzero", counting_first_nonzero)
+        report = run_sweep(SweepConfig(family=FamilyId.SU2, samples=12, seed=3))
+        recorded = len(report.tg_counterexamples)
+        assert report.disagreements == () and report.minimality_counterexample_count == 0
+        assert report.tg_counterexample_count > recorded == verifier.DETAIL_CAP
+        assert counts == {"violated": recorded, "witness": recorded}
+
+
 def first_nonzero_of(bv):
     return next((item for item in sorted(bv.items()) if any(item[1])), None)
 
@@ -481,8 +615,11 @@ class TestSweepBuildsOncePerDraw:
         cases = 0
         circle_mixed_rows = False  # y1 and x1 nonzero: sff_H(X, Y) depends on eps_X*eps_Y
         mean_directions = set()  # horizontal directions with nonzero mean curvature
+        # The sweep decides total geodesy for every signature at once: bit n stands for signatures[n].
+        minus, _ = _signature_masks(signatures)
+        everything = (1 << len(signatures)) - 1
         for _, by_class in _draw_cases(config):
-            for sig in signatures:
+            for n, sig in enumerate(signatures):
                 case = by_class[sig[-2] * sig[-1]]
                 spec = FamilySpec(family, case.params, MetricFrame(sig))
                 circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
@@ -492,7 +629,8 @@ class TestSweepBuildsOncePerDraw:
                 # Every frame-free pick equals classify, and sff_H its own entry point,
                 # on a table built in this frame.
                 assert case.horizontal.flags(sig) == (report.conformal, report.semi_riemannian, report.minimal), sig
-                assert case.vertical.totally_geodesic(sig) == report.totally_geodesic, sig
+                # A single frame is the one-signature case of the masks.
+                assert case.vertical.totally_geodesic(_signature_masks((sig,))[0], 1) == report.totally_geodesic, sig
                 assert case.horizontal.mean_curvature(sig) == report.mean_curvature, sig
                 assert case.horizontal.conformal_vector(sig) == report.conformal_vector, sig
                 assert case.vertical.form(sig) == report.bv, sig
@@ -504,7 +642,7 @@ class TestSweepBuildsOncePerDraw:
                 assert report.bv == via_connection
                 # The sweep's per-signature picks: the same flags as the full report,
                 # and total geodesy exactly when the Koszul-route sff_V vanishes.
-                geodesic = case.vertical.totally_geodesic(sig)
+                geodesic = bool(case.vertical.totally_geodesic(minus, everything) >> n & 1)
                 assert (*case.flags, geodesic) == (
                     report.conformal,
                     report.semi_riemannian,
@@ -514,6 +652,9 @@ class TestSweepBuildsOncePerDraw:
                 assert geodesic == (not any(any(vec) for vec in via_connection.values()))
                 # ... and its per-draw closed forms equal the per-case predicates.
                 assert (first_violated_condition(case.conditions, sig) is None) == (
+                    closed_form_totally_geodesic(spec)
+                )
+                assert bool(_conditions_hold(case.conditions, minus, everything) >> n & 1) == (
                     closed_form_totally_geodesic(spec)
                 )
                 assert case.closed[1] == closed_form_minimal(spec)
@@ -636,6 +777,27 @@ class TestSo2Sampling:
                 assert params["y2"] == params["x1"]
                 assert params["x2"] == -s * params["y1"]
                 build_family(FamilySpec.create(FamilyId.SU2xSO2, params, (1, 1, 1, 1, 1, s)))  # must not raise
+
+    def test_rechecking_an_accepted_draw_has_no_zero_operand(self, monkeypatch):
+        # Guards the cost of build_family's re-check of the sampler's draws, not
+        # its verdict: accepted draws lie on degenerate strata, and a product
+        # with a zero factor or a sum with a zero term builds a Fraction for nothing.
+        rng = random.Random(14)
+        draws = [
+            draw
+            for family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2)
+            for classes in ((1, -1), (1,), (-1,))
+            for _ in range(40)
+            for draw in _draw_params(rng, family, 10, classes)[0]
+        ]
+        calls, zero_calls = record_zero_operands(
+            monkeypatch, ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+        )
+        failed = [so2_failed_relation(params, 1, s) for params, (s,) in draws]
+        monkeypatch.undo()
+        assert failed == [None] * len(draws)
+        assert calls, "the recording hooks saw no operation"
+        assert zero_calls == []
 
     @pytest.mark.parametrize("family", [FamilyId.SU2xSO2, FamilyId.SL2RxSO2])
     def test_matches_the_fraction_sampler(self, family):
