@@ -419,26 +419,22 @@ def _eps_scale(factor: tuple[int, int, int] | None, eps: Sequence[int]) -> int:
     return 1 if factor is None else eps[factor[0]] + factor[1] * eps[factor[2]]
 
 
-def _failing(factor: tuple[int, int, int] | None, minus: Sequence[int]) -> int:
-    """The signatures where _eps_scale(factor, eps) is nonzero, as a bitmask.
+def _conditions_hold(conditions: Iterable[tuple], minus: Sequence[int], within: int) -> int:
+    """The signatures of the mask within where every one of nonzero_tg_conditions holds, as a mask.
 
     minus[k] is the mask of the signatures with eps_k = -1, so eps_i != eps_j
-    exactly on minus[i] ^ minus[j], and eps_i + s*eps_j is nonzero exactly
-    where (eps_i = eps_j) == (s > 0).  A circle condition (None) has no eps
-    factor and fails everywhere: -1 has every bit set.
+    exactly on minus[i] ^ minus[j].  The eps factor eps_i + s*eps_j of a
+    condition (see _eps_scale) is nonzero, and the condition fails, exactly
+    where (eps_i = eps_j) == (s > 0); a circle condition (None) has no eps
+    factor and fails everywhere.
     """
-    if factor is None:
-        return -1
-    i, s, j = factor
-    opposite = minus[i] ^ minus[j]
-    return ~opposite if s > 0 else opposite
-
-
-def _conditions_hold(conditions: Iterable[tuple], minus: Sequence[int], within: int) -> int:
-    """The signatures of the mask within where every one of nonzero_tg_conditions holds."""
     failing = 0
     for _, factor in conditions:
-        failing |= _failing(factor, minus)
+        if factor is None:
+            return 0
+        i, s, j = factor
+        opposite = minus[i] ^ minus[j]
+        failing |= ~opposite if s > 0 else opposite
     return within & ~failing
 
 

@@ -403,12 +403,14 @@ def _signature_masks(signatures: tuple[tuple[int, ...], ...]) -> tuple[tuple[int
     served[s] holds the eps_X*eps_Y class s, the class -1 being
     minus[X] ^ minus[Y].  One signature gives the masks of a single frame.
     """
-    minus = tuple(
-        int("".join("1" if eps[k] < 0 else "0" for eps in reversed(signatures)), 2)
-        for k in range(len(signatures[0]))
-    )
+    minus = [0] * len(signatures[0])
+    for n, eps in enumerate(signatures):
+        bit = 1 << n
+        for k, e in enumerate(eps):
+            if e < 0:
+                minus[k] |= bit
     split = minus[-2] ^ minus[-1]
-    return minus, {1: ((1 << len(signatures)) - 1) & ~split, -1: split}
+    return tuple(minus), {1: ((1 << len(signatures)) - 1) & ~split, -1: split}
 
 
 class _Case(NamedTuple):

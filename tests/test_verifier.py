@@ -35,6 +35,7 @@ from liefol.families import (
     so2_failed_relation,
 )
 from liefol.geometry import (
+    FrameFreeHorizontal,
     FrameFreeVertical,
     classify,
     second_fundamental_form_horizontal,
@@ -309,6 +310,7 @@ class TestRunSweep:
         not_geodesic = report.total_cases - report.flag_counts["totallyGeodesic"]
         assert 0 < len(report.disagreements) == not_geodesic
         assert all(not e["geometric"]["totallyGeodesic"] for e in report.disagreements)
+        assert all(e["closedForm"]["totallyGeodesic"] for e in report.disagreements)
 
     def test_determinism_byte_identical(self):
         config = SweepConfig(family=FamilyId.SL2R, samples=40, seed=42)
@@ -537,13 +539,24 @@ def mask_modes(family):
 class TestSignatureMasks:
     """run_sweep's per-draw signature masks give the per-signature loop's report, byte for byte."""
 
-    @pytest.mark.parametrize("flip_minimal", [False, True], ids=["real", "minimal-flipped"])
+    @pytest.mark.parametrize("flip", [None, "closed-form", "geometric"])
     @pytest.mark.parametrize("family", list(FamilyId))
-    def test_reports_match_the_per_signature_loop(self, family, flip_minimal, monkeypatch):
-        if flip_minimal:
-            # Every case disagrees on minimality, so every signature writes a disagreement entry.
+    def test_reports_match_the_per_signature_loop(self, family, flip, monkeypatch):
+        # With either minimality verdict flipped every case disagrees, so every
+        # signature writes a disagreement entry.  Real sweeps are minimal
+        # wherever they record conjecture entries, so only the flipped
+        # geometric verdict gives minimality entries.
+        if flip == "closed-form":
             real = verifier.closed_form_minimal
             monkeypatch.setattr(verifier, "closed_form_minimal", lambda spec: not real(spec))
+        elif flip == "geometric":
+            flags = FrameFreeHorizontal.flags
+
+            def flipped(self, eps):
+                conformal, semi, minimal = flags(self, eps)
+                return conformal, semi, not minimal
+
+            monkeypatch.setattr(FrameFreeHorizontal, "flags", flipped)
         kinds = set()
         for mode in mask_modes(family):
             samples = 1 if family_dimension(family) == 8 and mode["signature_mode"] == "all" else 6
@@ -555,8 +568,10 @@ class TestSignatureMasks:
                 key for key in ("disagreements", "tg_counterexamples", "minimality_counterexamples")
                 if getattr(reference, key)
             )
-        assert ("disagreements" in kinds) == flip_minimal
-        assert ("tg_counterexamples" in kinds) == (family not in CIRCLE_FAMILIES)
+        semisimple = family not in CIRCLE_FAMILIES
+        assert ("disagreements" in kinds) == (flip is not None)
+        assert ("tg_counterexamples" in kinds) == semisimple
+        assert ("minimality_counterexamples" in kinds) == (semisimple and flip == "geometric")
 
     def test_witness_lookups_run_once_per_recorded_entry(self, monkeypatch):
         counts = {"violated": 0, "witness": 0}
