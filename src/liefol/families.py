@@ -419,23 +419,35 @@ def _eps_scale(factor: tuple[int, int, int] | None, eps: Sequence[int]) -> int:
     return 1 if factor is None else eps[factor[0]] + factor[1] * eps[factor[2]]
 
 
-def _conditions_hold(conditions: Iterable[tuple], minus: Sequence[int], within: int) -> int:
-    """The signatures of the mask within where every one of nonzero_tg_conditions holds, as a mask.
+def _first_failures(conditions: Iterable[tuple], minus: Sequence[int], within: int):
+    """Yield (label, bits) per one of nonzero_tg_conditions, the signatures of within where it is the first to fail.
 
     minus[k] is the mask of the signatures with eps_k = -1, so eps_i != eps_j
     exactly on minus[i] ^ minus[j].  The eps factor eps_i + s*eps_j of a
     condition (see _eps_scale) is nonzero, and the condition fails, exactly
     where (eps_i = eps_j) == (s > 0); a circle condition (None) has no eps
-    factor and fails everywhere.
+    factor and fails everywhere.  The bits of within that no condition takes
+    are the signatures where every condition holds.
     """
-    failing = 0
-    for _, factor in conditions:
+    for label, factor in conditions:
         if factor is None:
-            return 0
-        i, s, j = factor
-        opposite = minus[i] ^ minus[j]
-        failing |= ~opposite if s > 0 else opposite
-    return within & ~failing
+            bits = within
+        else:
+            i, s, j = factor
+            opposite = minus[i] ^ minus[j]
+            bits = within & (~opposite if s > 0 else opposite)
+        if bits:
+            yield label, bits
+            within ^= bits
+            if not within:
+                return
+
+
+def _conditions_hold(conditions: Iterable[tuple], minus: Sequence[int], within: int) -> int:
+    """The signatures of the mask within where every one of nonzero_tg_conditions holds, as a mask."""
+    for failure in _first_failures(conditions, minus, within):
+        within ^= failure[1]
+    return within
 
 
 def nonzero_tg_conditions(family: FamilyId, params: Mapping[str, Fraction]) -> Iterator[tuple]:

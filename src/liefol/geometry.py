@@ -105,9 +105,9 @@ class FrameFreeVertical(NamedTuple):
     horizontal: tuple[int, int]
     # Per vertical pair i <= j: (i, j, halves along X, halves along Y).
     pairs: tuple[tuple[int, int, tuple[Fraction, Fraction], tuple[Fraction, Fraction]], ...]
-    # The pairs whose half for eps_i = eps_j, resp. eps_i != eps_j, is nonzero along X or Y.
-    same_nonzero: tuple[tuple[int, int], ...]
-    opposite_nonzero: tuple[tuple[int, int], ...]
+    # Per half that is nonzero along X or Y, in pairs order: (i, j, whether it is
+    # the half for eps_i != eps_j, its value along X, its value along Y).
+    bends: tuple[tuple[int, int, bool, Fraction, Fraction], ...]
 
     @classmethod
     def from_setup(cls, setup: FoliationSetup) -> "FrameFreeVertical":
@@ -122,58 +122,81 @@ class FrameFreeVertical(NamedTuple):
                 hx, hy = _halves(cxi[j], cx[j][i], cj[x][i]), _halves(cyi[j], cy[j][i], cj[y][i])
                 pairs.append((i, j, hx, hy))
         # Sorted by (i, j), unique per pair, also when setup.vertical is not, so
-        # first_nonzero meets the pairs in the order of sorted(form(eps).items()).
+        # witnesses meets the pairs in the order of sorted(form(eps).items()).
         pairs.sort()
-        same = tuple((i, j) for i, j, hx, hy in pairs if hx[0] or hy[0])
-        opposite = tuple((i, j) for i, j, hx, hy in pairs if hx[1] or hy[1])
-        return cls(setup.dim, (x, y), tuple(pairs), same, opposite)
+        bends = tuple(
+            (i, j, opposite, hx[opposite], hy[opposite])
+            for i, j, hx, hy in pairs
+            for opposite in (False, True)
+            if hx[opposite] or hy[opposite]
+        )
+        return cls(setup.dim, (x, y), tuple(pairs), bends)
 
-    def totally_geodesic(self, minus: Sequence[int], within: int) -> int:
-        """The signatures of the mask within whose sff_V vanishes, as a mask.
+    def _first_bends(self, minus: Sequence[int], within: int):
+        """Yield (bits, i, j, X value, Y value) per half, the signatures of within it is the first to bend.
 
         minus[k] is the mask of the signatures with eps_k = -1, so
         eps_i != eps_j exactly on minus[i] ^ minus[j].  eps_i eps_j picks
-        each pair's half, and no sign makes it zero: a pair in same_nonzero
-        bends sff_V off that mask, a pair in opposite_nonzero on it.
+        each pair's half, and no sign makes it zero: a nonzero half bends
+        sff_V where it is picked.  The bits of within that no half takes are
+        the signatures whose sff_V vanishes.
         """
-        bent = 0
-        for i, j in self.same_nonzero:
-            bent |= ~(minus[i] ^ minus[j])
-        for i, j in self.opposite_nonzero:
-            bent |= minus[i] ^ minus[j]
-        return within & ~bent
+        for i, j, opposite, half_x, half_y in self.bends:
+            split = minus[i] ^ minus[j]
+            bits = within & (split if opposite else ~split)
+            if bits:
+                yield bits, i, j, half_x, half_y
+                within ^= bits
+                if not within:
+                    return
 
-    def _picks(self, eps: tuple[int, ...]):
-        """(i, j, X and Y halves of sff_V(e_i, e_j), unsigned) per vertical pair, in sorted (i, j) order."""
-        for i, j, hx, hy in self.pairs:
-            opposite = eps[i] != eps[j]
-            yield i, j, hx[opposite], hy[opposite]
+    def totally_geodesic(self, minus: Sequence[int], within: int) -> int:
+        """The signatures of the mask within whose sff_V vanishes, as a mask (see _first_bends)."""
+        for bend in self._first_bends(minus, within):
+            within ^= bend[0]
+        return within
 
-    def _vector(self, eps: tuple[int, ...], j: int, half_x: Fraction, half_y: Fraction) -> tuple[Fraction, ...]:
-        """The sff_V vector of a pair (i, j) with the given halves: eps_h eps_j signs each."""
+    def witnesses(
+        self, minus: Sequence[int], within: int
+    ) -> list[tuple[int, tuple[int, int], tuple[Fraction, ...]]]:
+        """The signatures of the mask within whose sff_V is nonzero, split by its first nonzero pair and value.
+
+        One (bits, (i, j), vector) per part: for every signature of bits, (i, j)
+        is the first item of sorted(form(eps).items()) with a nonzero value,
+        and vector that value.  eps_h eps_j signs the half along h, so each
+        pair's share of within splits by minus[h] ^ minus[j] into at most four
+        vectors; a zero half is never negated.
+        """
         x, y = self.horizontal
-        ej = eps[j]
-        vec = [ZERO] * self.dim
-        # Most halves are zero, and negating a zero builds a Fraction.
-        vec[x] = -half_x if eps[x] != ej and half_x else half_x
-        vec[y] = -half_y if eps[y] != ej and half_y else half_y
-        return tuple(vec)
+        parts = []
+        for bits, i, j, half_x, half_y in self._first_bends(minus, within):
+            flip_x = minus[x] ^ minus[j] if half_x else 0
+            flip_y = minus[y] ^ minus[j] if half_y else 0
+            for negate_x, along_x in ((False, bits & ~flip_x), (True, bits & flip_x)):
+                for negate_y, part in ((False, along_x & ~flip_y), (True, along_x & flip_y)):
+                    if part:
+                        vec = [ZERO] * self.dim
+                        vec[x] = -half_x if negate_x else half_x
+                        vec[y] = -half_y if negate_y else half_y
+                        parts.append((part, (i, j), tuple(vec)))
+        return parts
 
     def form(self, eps: tuple[int, ...]) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        """sff_V of the frame with causal characters eps."""
-        return {(i, j): self._vector(eps, j, hx, hy) for i, j, hx, hy in self._picks(eps)}
+        """sff_V of the frame with causal characters eps.
 
-    def first_nonzero(
-        self, eps: tuple[int, ...]
-    ) -> tuple[tuple[int, int], tuple[Fraction, ...]] | None:
-        """The first item of sorted(form(eps).items()) with a nonzero value, or None.
-
-        Builds only that pair's vector.
+        eps_i eps_j picks each pair's half, and eps_h eps_j signs it along h.
         """
-        for i, j, hx, hy in self._picks(eps):
-            if hx or hy:
-                return (i, j), self._vector(eps, j, hx, hy)
-        return None
+        x, y = self.horizontal
+        form = {}
+        for i, j, hx, hy in self.pairs:
+            ej, opposite = eps[j], eps[i] != eps[j]
+            half_x, half_y = hx[opposite], hy[opposite]
+            vec = [ZERO] * self.dim
+            # Most halves are zero, and negating a zero builds a Fraction.
+            vec[x] = -half_x if eps[x] != ej and half_x else half_x
+            vec[y] = -half_y if eps[y] != ej and half_y else half_y
+            form[i, j] = tuple(vec)
+        return form
 
 
 class FrameFreeHorizontal(NamedTuple):

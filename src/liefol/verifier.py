@@ -10,6 +10,7 @@ closed formulas it cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -17,6 +18,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .algebra import (
@@ -35,6 +37,7 @@ from .families import (
     FamilyId,
     FamilySpec,
     _conditions_hold,
+    _first_failures,
     _family_rows,
     build_family,
     closed_form_minimal,
@@ -111,12 +114,26 @@ class SweepConfig:
 
 
 def enumerate_signatures(config: SweepConfig) -> tuple[tuple[int, ...], ...]:
-    dim = family_dimension(config.family)
-    if config.signature_mode == "all":
-        return tuple(itertools.product((1, -1), repeat=dim))
-    if config.signature_mode == "riemannian-only":
-        return ((1,) * dim,)
-    return config.fixed_signatures
+    return _signature_plan(config.family, config.signature_mode, config.fixed_signatures)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _signature_plan(family: FamilyId, mode: str, fixed: tuple[tuple[int, ...], ...]):
+    """(signatures, minus, served): a signature mode's list and its masks (see _signature_masks).
+
+    Built once per distinct family, mode and fixed list, and shared by every
+    sweep that has them, so served is read-only.  A fixed list is a tuple of int tuples
+    (SweepConfig checks that), so equal keys hold equal signatures.
+    """
+    dim = family_dimension(family)
+    if mode == "all":
+        signatures = tuple(itertools.product((1, -1), repeat=dim))
+    elif mode == "riemannian-only":
+        signatures = ((1,) * dim,)
+    else:
+        signatures = fixed
+    minus, served = _signature_masks(signatures)
+    return signatures, minus, MappingProxyType(served)
 
 
 # JSON text of a report's scalar leaves, by exact type, as json.dumps writes them.
@@ -194,9 +211,10 @@ class SweepReport:
     """A sweep's totals and detail entries.
 
     The entries of one report share their "params" block (one dict per draw),
-    their "signature" block (one list per signature) and their "witnessPair",
-    "witnessValue" and "meanCurvature" blocks (one list per distinct text);
-    treat them as read-only.
+    their "signature" block (one list per recorded signature) and their
+    "witnessPair", "witnessValue" and "meanCurvature" blocks (one list per
+    distinct text, formatted once per part of a draw's recorded signatures
+    that shares it); treat them as read-only.
     """
 
     config: SweepConfig
@@ -360,30 +378,11 @@ def _texts(vector: Sequence[Fraction]) -> tuple[str, ...]:
 
 
 class _Blocks(dict):
-    """One list per distinct tuple of texts, so a report's entries share their witness and curvature blocks."""
+    """One list per distinct tuple, so a report's entries share their signature, witness and curvature blocks."""
 
     def __missing__(self, texts: tuple[str, ...]) -> list[str]:
         block = self[texts] = list(texts)
         return block
-
-
-def _witness_entry(
-    entry: dict,
-    names: Sequence[str],
-    violated: str | None,
-    witness: tuple[tuple[int, int], tuple[Fraction, ...]],
-    block,
-) -> dict:
-    """Add the first violated closed-form condition and witness, the first nonzero sff_V pair, to entry.
-
-    block turns a tuple of texts into the entry's list: list, or the lookup of
-    a report's _Blocks, which shares one list per distinct tuple.
-    """
-    (i, j), vec = witness
-    entry["violatedCondition"] = violated
-    entry["witnessPair"] = block((names[i], names[j]))
-    entry["witnessValue"] = block(_texts(vec))
-    return entry
 
 
 def _bits(mask: int):
@@ -392,6 +391,16 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _first_bits(mask: int, count: int) -> int:
+    """The lowest count set bits of mask, as a mask (all of them if it has fewer)."""
+    if mask.bit_count() <= count:
+        return mask
+    first = 0
+    for n in itertools.islice(_bits(mask), count):
+        first |= 1 << n
+    return first
 
 
 def _signature_masks(signatures: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -465,16 +474,16 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     Deterministic given the config (including the seed); disagreements are the
     machine-checked failures of the family's classification statements and are
     expected to be empty.  Per draw and class every verdict is a mask over the
-    signatures (bit n for signatures[n], see _signature_masks); entries
-    are written per set bit, in signature order.
+    signatures (bit n for signatures[n], see _signature_masks), and so are the
+    parts of a class's recorded conjecture and minimality entries that share
+    their violated condition, witness or mean curvature; entries are written
+    per set bit, in signature order.
     """
     family = config.family
-    signatures = enumerate_signatures(config)
+    signatures, minus, served = _signature_plan(family, config.signature_mode, config.fixed_signatures)
     names = family_basis_names(family)
     track_conjectures = family not in CIRCLE_FAMILIES
     compact_type = family in COMPACT_FAMILIES
-    signature_lists = [list(eps) for eps in signatures]
-    minus, served = _signature_masks(signatures)
     block = _Blocks().__getitem__
 
     disagreements: list[dict] = []
@@ -515,7 +524,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             eps = signatures[n]
             case = cases[eps[-2] * eps[-1]]
             conformal, semi, minimal = case.flags
-            entry = _describe(family, case.params_text, signature_lists[n])
+            entry = _describe(family, case.params_text, block(eps))
             entry["geometric"] = {
                 "conformal": conformal,
                 "semiRiemannian": semi,
@@ -530,21 +539,46 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             }
             disagreements.append(entry)
 
-        for n in itertools.islice(_bits(bent), DETAIL_CAP - len(tg_details)):
-            eps = signatures[n]
-            case = cases[eps[-2] * eps[-1]]
-            violated = first_violated_condition(case.conditions, eps)
-            entry = _describe(family, case.params_text, signature_lists[n])
-            detail = _witness_entry(entry, names, violated, case.vertical.first_nonzero(eps), block)
-            detail["compactType"] = compact_type
-            tg_details.append(detail)
+        # The recorded entries of this draw: the first set bits, up to the cap.
+        recorded = _first_bits(bent, DETAIL_CAP - len(tg_details))
+        if recorded:
+            # Per recorded signature, the first violated condition and the witness,
+            # decided per class for all its recorded signatures at once.
+            violated, witness = {}, {}
+            for s, case in cases.items():
+                within = recorded & served[s]
+                if not within:
+                    continue
+                for label, bits in _first_failures(case.conditions, minus, within):
+                    violated.update(dict.fromkeys(_bits(bits), label))
+                for bits, (i, j), vec in case.vertical.witnesses(minus, within):
+                    texts = block((names[i], names[j])), block(_texts(vec))
+                    witness.update(dict.fromkeys(_bits(bits), texts))
+            for n in _bits(recorded):
+                eps = signatures[n]
+                entry = _describe(family, cases[eps[-2] * eps[-1]].params_text, block(eps))
+                entry["violatedCondition"] = violated.get(n)
+                entry["witnessPair"], entry["witnessValue"] = witness[n]
+                entry["compactType"] = compact_type
+                tg_details.append(entry)
 
-        for n in itertools.islice(_bits(curved), DETAIL_CAP - len(minimality_details)):
-            eps = signatures[n]
-            case = cases[eps[-2] * eps[-1]]
-            detail = _describe(family, case.params_text, signature_lists[n])
-            detail["meanCurvature"] = block(_texts(case.horizontal.mean_curvature(eps)))
-            minimality_details.append(detail)
+        recorded = _first_bits(curved, DETAIL_CAP - len(minimality_details))
+        if recorded:
+            # The mean curvature depends on eps only through eps_X and eps_Y, and
+            # eps_Y = s*eps_X on class s, so eps_X splits a class into two parts.
+            mean = {}
+            for s, case in cases.items():
+                within, x = recorded & served[s], case.horizontal.horizontal[0]
+                for bits in (within & minus[x], within & ~minus[x]):
+                    if bits:
+                        eps = signatures[(bits & -bits).bit_length() - 1]
+                        texts = block(_texts(case.horizontal.mean_curvature(eps)))
+                        mean.update(dict.fromkeys(_bits(bits), texts))
+            for n in _bits(recorded):
+                eps = signatures[n]
+                entry = _describe(family, cases[eps[-2] * eps[-1]].params_text, block(eps))
+                entry["meanCurvature"] = mean[n]
+                minimality_details.append(entry)
 
     return SweepReport(
         config=config,
@@ -583,9 +617,8 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
             f"{family.value} has a non-semisimple vertical subalgebra; "
             "the conjecture premise requires a semisimple one"
         )
-    signatures = enumerate_signatures(config)
+    signatures, minus, served = _signature_plan(family, config.signature_mode, config.fixed_signatures)
     names = family_basis_names(family)
-    minus, served = _signature_masks(signatures)
     results: list[dict] = []
     for _, cases in _draw_cases(config):
         hits = 0
@@ -609,9 +642,11 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
                 )
             if compact_type is None:
                 compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
-            violated = first_violated_condition(case.conditions, eps)
-            witness = report.totally_geodesic_witnesses[0]
-            entry = _witness_entry(_describe(family, case.params_text, list(eps)), names, violated, witness, list)
+            (i, j), vec = report.totally_geodesic_witnesses[0]
+            entry = _describe(family, case.params_text, list(eps))
+            entry["violatedCondition"] = first_violated_condition(case.conditions, eps)
+            entry["witnessPair"] = [names[i], names[j]]
+            entry["witnessValue"] = list(_texts(vec))
             entry["compactType"] = compact_type
             entry["minimal"] = report.minimal
             results.append(entry)

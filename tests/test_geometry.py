@@ -228,9 +228,10 @@ class TestVerticalForm:
         assert direct == via_connection
 
 
-    def test_first_nonzero_with_vertical_out_of_order(self):
-        # The first nonzero pair of classify's sff_V, in sorted (i, j) order, also
-        # when the vertical tuple is shuffled (so some pairs have i > j).
+    def test_witnesses_with_vertical_out_of_order(self):
+        # Each signature's witness is the first nonzero pair of classify's sff_V,
+        # in sorted (i, j) order, also when the vertical tuple is shuffled (so
+        # some pairs have i > j); the signatures of no part are totally geodesic.
         rng = random.Random(41)
         setups = [random_family_setup(rng)[1] for _ in range(10)]
         setups += [TestConnection.random_raw_setup(rng) for _ in range(30)]
@@ -240,13 +241,22 @@ class TestVerticalForm:
             shuffled += vertical != tuple(sorted(vertical))
             setup = FoliationSetup(setup.tensor, setup.frame, vertical, setup.horizontal)
             frame_free = FrameFreeVertical.from_setup(setup)
-            for _ in range(4):
-                eps = tuple(rng.choice((1, -1)) for _ in range(setup.dim))
+            signatures = [tuple(rng.choice((1, -1)) for _ in range(setup.dim)) for _ in range(4)]
+            # minus[k]: bit n set when signatures[n] has eps_k = -1.
+            minus = [sum(1 << n for n, eps in enumerate(signatures) if eps[k] < 0) for k in range(setup.dim)]
+            picked = {}
+            for bits, pair, vec in frame_free.witnesses(minus, 0b1111):
+                for n in range(4):
+                    if bits >> n & 1:
+                        assert n not in picked
+                        picked[n] = pair, vec
+            for n, eps in enumerate(signatures):
                 framed = FoliationSetup(setup.tensor, MetricFrame(eps), vertical, setup.horizontal)
                 bv = classify(framed, require_jacobi=False).bv
                 assert bv == second_fundamental_form_vertical_via_connection(framed, require_jacobi=False)
                 expected = next((item for item in sorted(bv.items()) if any(item[1])), None)
-                assert frame_free.first_nonzero(eps) == expected
+                assert picked.get(n) == expected
+                assert bool(frame_free.totally_geodesic(minus, 0b1111) >> n & 1) == (expected is None)
                 witnessed += expected is not None
         assert shuffled > len(setups) // 2 and witnessed > len(setups)
 

@@ -452,11 +452,8 @@ class TestReportJson:
 
 
 def reference_totally_geodesic(vertical, eps):
-    """Total geodesy of one frame, decided per pair as the sweep did before its signature masks."""
-    return not (
-        any(eps[i] == eps[j] for i, j in vertical.same_nonzero)
-        or any(eps[i] != eps[j] for i, j in vertical.opposite_nonzero)
-    )
+    """Total geodesy of one frame, read off its sff_V as the sweep did before its signature masks."""
+    return not any(any(vec) for vec in vertical.form(eps).values())
 
 
 def reference_run_sweep(config):
@@ -492,7 +489,7 @@ def reference_run_sweep(config):
             if track_conjectures and conformal and not geodesic:
                 tg_count += 1
                 if len(tg_details) < verifier.DETAIL_CAP:
-                    (i, j), vec = case.vertical.first_nonzero(eps)
+                    (i, j), vec = first_nonzero_of(case.vertical.form(eps))
                     tg_details.append(
                         dict(
                             head,
@@ -536,27 +533,51 @@ def mask_modes(family):
     ]
 
 
+def flip_minimality(monkeypatch, flip):
+    """Flip the closed-form or the geometric minimality verdict, or neither (flip None).
+
+    With either flipped every case disagrees, so every signature writes a
+    disagreement entry.  Real sweeps are minimal wherever they record
+    conjecture entries, so only the flipped geometric verdict gives
+    minimality entries.  Their mean curvature is zero; flip "curved" instead
+    adds 1 and 2 to the mean curvature sums along X and Y, so that entries
+    of a semisimple family read a mean curvature signed by eps_X and eps_Y.
+    """
+    if flip == "closed-form":
+        real = verifier.closed_form_minimal
+        monkeypatch.setattr(verifier, "closed_form_minimal", lambda spec: not real(spec))
+    elif flip == "geometric":
+        flags = FrameFreeHorizontal.flags
+
+        def flipped(self, eps):
+            conformal, semi, minimal = flags(self, eps)
+            return conformal, semi, not minimal
+
+        monkeypatch.setattr(FrameFreeHorizontal, "flags", flipped)
+    elif flip == "curved":
+        from_setup = FrameFreeHorizontal.from_setup
+
+        def curved(cls, setup):
+            sum_x, sum_y = (horizontal := from_setup(setup)).mean_sums
+            return horizontal._replace(mean_sums=(sum_x + 1, sum_y + 2))
+
+        monkeypatch.setattr(FrameFreeHorizontal, "from_setup", classmethod(curved))
+
+
+SEMISIMPLE = [family for family in FamilyId if family not in CIRCLE_FAMILIES]
+
+
+def bit_indices(mask):
+    return [n for n in range(mask.bit_length()) if mask >> n & 1]
+
+
 class TestSignatureMasks:
     """run_sweep's per-draw signature masks give the per-signature loop's report, byte for byte."""
 
     @pytest.mark.parametrize("flip", [None, "closed-form", "geometric"])
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_reports_match_the_per_signature_loop(self, family, flip, monkeypatch):
-        # With either minimality verdict flipped every case disagrees, so every
-        # signature writes a disagreement entry.  Real sweeps are minimal
-        # wherever they record conjecture entries, so only the flipped
-        # geometric verdict gives minimality entries.
-        if flip == "closed-form":
-            real = verifier.closed_form_minimal
-            monkeypatch.setattr(verifier, "closed_form_minimal", lambda spec: not real(spec))
-        elif flip == "geometric":
-            flags = FrameFreeHorizontal.flags
-
-            def flipped(self, eps):
-                conformal, semi, minimal = flags(self, eps)
-                return conformal, semi, not minimal
-
-            monkeypatch.setattr(FrameFreeHorizontal, "flags", flipped)
+        flip_minimality(monkeypatch, flip)
         kinds = set()
         for mode in mask_modes(family):
             samples = 1 if family_dimension(family) == 8 and mode["signature_mode"] == "all" else 6
@@ -573,25 +594,99 @@ class TestSignatureMasks:
         assert ("tg_counterexamples" in kinds) == semisimple
         assert ("minimality_counterexamples" in kinds) == (semisimple and flip == "geometric")
 
-    def test_witness_lookups_run_once_per_recorded_entry(self, monkeypatch):
-        counts = {"violated": 0, "witness": 0}
-        violated, first_nonzero = verifier.first_violated_condition, FrameFreeVertical.first_nonzero
+    # The cap falls inside a draw: in its first draw for caps 1 and 7, and for
+    # 37 in the second draw of a 32-signature sweep and inside the one draw of
+    # a 256-signature sweep.
+    @pytest.mark.parametrize("flip", [None, "curved"])
+    @pytest.mark.parametrize("cap", [1, 7, 37])
+    @pytest.mark.parametrize("family", SEMISIMPLE)
+    def test_reports_match_the_per_signature_loop_at_small_caps(self, family, cap, flip, monkeypatch):
+        monkeypatch.setattr(verifier, "DETAIL_CAP", cap)
+        flip_minimality(monkeypatch, flip)
+        capped = set()
+        for mode in mask_modes(family):
+            if mode["signature_mode"] == "riemannian-only":
+                continue
+            every = mode["signature_mode"] == "all"
+            samples = (1 if family_dimension(family) == 8 else 3) if every else 16
+            config = SweepConfig(family=family, samples=samples, seed=34, **mode)
+            report = run_sweep(config)
+            assert report.to_json() == json_dumps_reference(reference_run_sweep(config)), mode
+            if report.tg_counterexample_count > cap:
+                capped.add("tg")
+            if report.minimality_counterexample_count > cap:
+                capped.add("minimality")
+        assert capped == ({"tg", "minimality"} if flip else {"tg"})
 
-        def counting_violated(conditions, eps):
-            counts["violated"] += 1
-            return violated(conditions, eps)
+    def test_partitions_run_once_per_recorded_draw_and_class(self, monkeypatch):
+        # Per (draw, class) with recorded entries, the violated-condition and
+        # witness partitions (or the mean curvatures, at most two) are built
+        # once, on exactly that class's recorded signatures; a draw with no
+        # recorded entry builds none.
+        config = SweepConfig(family=FamilyId.SU2, samples=12, seed=3)
+        signatures = enumerate_signatures(config)
+        _, served = _signature_masks(signatures)
+        params_of = []  # per draw, its params_text, which its entries share
+        calls = []  # (kind, draw, class, signatures)
+        draw_cases, first_failures = verifier._draw_cases, verifier._first_failures
+        witnesses, mean_curvature = FrameFreeVertical.witnesses, FrameFreeHorizontal.mean_curvature
 
-        def counting_first_nonzero(self, eps):
-            counts["witness"] += 1
-            return first_nonzero(self, eps)
+        def class_of(within):
+            return next(s for s, mask in served.items() if within & mask == within)
 
-        monkeypatch.setattr(verifier, "first_violated_condition", counting_violated)
-        monkeypatch.setattr(FrameFreeVertical, "first_nonzero", counting_first_nonzero)
-        report = run_sweep(SweepConfig(family=FamilyId.SU2, samples=12, seed=3))
-        recorded = len(report.tg_counterexamples)
-        assert report.disagreements == () and report.minimality_counterexample_count == 0
-        assert report.tg_counterexample_count > recorded == verifier.DETAIL_CAP
-        assert counts == {"violated": recorded, "witness": recorded}
+        def recording_draw_cases(config):
+            for attempts, cases in draw_cases(config):
+                params_of.append(cases[1].params_text)
+                yield attempts, cases
+
+        def recording_failures(conditions, minus, within):
+            calls.append(("violated", len(params_of) - 1, class_of(within), within))
+            return first_failures(conditions, minus, within)
+
+        def recording_witnesses(self, minus, within):
+            calls.append(("witness", len(params_of) - 1, class_of(within), within))
+            return witnesses(self, minus, within)
+
+        def recording_mean_curvature(self, eps):
+            n = signatures.index(eps)
+            calls.append(("mean", len(params_of) - 1, class_of(1 << n), 1 << n))
+            return mean_curvature(self, eps)
+
+        monkeypatch.setattr(verifier, "_draw_cases", recording_draw_cases)
+        monkeypatch.setattr(verifier, "_first_failures", recording_failures)
+        monkeypatch.setattr(FrameFreeVertical, "witnesses", recording_witnesses)
+        monkeypatch.setattr(FrameFreeHorizontal, "mean_curvature", recording_mean_curvature)
+        for flip in (None, "curved"):
+            flip_minimality(monkeypatch, flip)
+            params_of.clear()
+            calls.clear()
+            report = run_sweep(config)
+            entries = {"violated": report.tg_counterexamples, "witness": report.tg_counterexamples,
+                       "mean": report.minimality_counterexamples}
+            assert report.tg_counterexample_count > len(report.tg_counterexamples) == verifier.DETAIL_CAP
+            if flip:
+                assert report.minimality_counterexample_count > verifier.DETAIL_CAP
+            else:
+                assert report.minimality_counterexample_count == 0
+            for kind, recorded in entries.items():
+                # The recorded signatures of each (draw, class), from the entries.
+                expected = {}
+                for entry in recorded:
+                    draw = next(d for d, params in enumerate(params_of) if params is entry["params"])
+                    n = signatures.index(tuple(entry["signature"]))
+                    key = draw, class_of(1 << n)
+                    expected[key] = expected.get(key, 0) | 1 << n
+                built = {}  # the signatures of each call, per (draw, class)
+                for call_kind, draw, s, within in calls:
+                    if call_kind == kind:
+                        built.setdefault((draw, s), []).append(within)
+                assert built.keys() == expected.keys(), kind
+                for key, masks in built.items():
+                    if kind == "mean":
+                        # One recorded signature stands for each of at most two eps_X parts.
+                        assert len(masks) <= 2 and all(mask & expected[key] for mask in masks), key
+                    else:
+                        assert masks == [expected[key]], (kind, key)
 
 
 def first_nonzero_of(bv):
@@ -599,19 +694,31 @@ def first_nonzero_of(bv):
 
 
 class TestWitnessPick:
-    """FrameFreeVertical.first_nonzero is the first nonzero pair of classify's sff_V."""
+    """FrameFreeVertical.witnesses gives each signature the first nonzero pair of classify's sff_V."""
 
     @pytest.mark.parametrize("family", list(FamilyId))
     def test_every_signature_of_every_family(self, family):
         config = SweepConfig(family=family, samples=1 if family_dimension(family) == 8 else 3, seed=31)
         signatures = enumerate_signatures(config)
+        minus, served = _signature_masks(signatures)
         witnessed = unwitnessed = 0
         for _, cases in _draw_cases(config):
-            for eps in signatures:
+            picked = {}
+            for s, case in cases.items():
+                parts = case.vertical.witnesses(minus, served[s])
+                for bits, pair, vec in parts:
+                    assert bits and bits & served[s] == bits
+                    for n in bit_indices(bits):
+                        assert n not in picked
+                        picked[n] = pair, vec
+                # The signatures no part takes are the totally geodesic ones.
+                bent = sum(bits for bits, _, _ in parts)
+                assert case.vertical.totally_geodesic(minus, served[s]) == served[s] & ~bent
+            for n, eps in enumerate(signatures):
                 case = cases[eps[-2] * eps[-1]]
                 hit = FoliationSetup(case.setup.tensor, MetricFrame(eps), case.setup.vertical, case.setup.horizontal)
                 expected = first_nonzero_of(classify(hit, require_jacobi=False).bv)
-                assert case.vertical.first_nonzero(eps) == expected, eps
+                assert picked.get(n) == expected, eps
                 witnessed += expected is not None
                 unwitnessed += expected is None
         assert witnessed + unwitnessed == config.samples * len(signatures)
