@@ -57,7 +57,7 @@ class FamilyId(str, Enum):
     def parse(cls, text: str) -> "FamilyId":
         try:
             return cls(text.lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # not a string, or no family's name
             known = ", ".join(f.value for f in cls)
             raise StructureError(f"unknown family {reprlib.repr(text)}; known families: {known}") from None
 
@@ -149,7 +149,7 @@ class FamilySpec:
         rho*t14/(x1 + y2) when x1 + y2 != 0, and to 0 (the free direction)
         otherwise.
         """
-        fam = FamilyId.parse(family) if isinstance(family, str) else family
+        fam = family if isinstance(family, FamilyId) else FamilyId.parse(family)
         frame = MetricFrame((1,) * family_dimension(fam) if signature is None else tuple(signature))
         given = dict(params or {})
         expected = family_parameter_names(fam)
@@ -227,11 +227,6 @@ def closed_form_theta(spec: FamilySpec) -> tuple[Fraction, ...]:
     return tuple(theta)
 
 
-def _difference(a, b):
-    """a - b for a != b, without a zero operand."""
-    return a - b if a and b else a or -b
-
-
 def so2_failed_relation(
     params: Mapping[str, Fraction | int], eps_x: int, eps_y: int
 ) -> tuple[str, Fraction | int] | None:
@@ -255,24 +250,12 @@ def so2_failed_relation(
     if lhs != rhs:
         return "eps_X*x2 + eps_Y*y1 = 0", lhs - rhs
     t14, t24, rho, theta4 = params["t14"], params["t24"], params["rho"], params["theta4"]
-    # Accepted draws lie on degenerate strata, where most of these factors are
-    # zero.  A product with a zero factor is not formed, 0 standing for it, nor
-    # a sum or difference with a zero term: each would build a Fraction.
-    first, second = t14 * x2 if t14 and x2 else 0, rho * y2 if rho and y2 else 0
-    lhs = first + second if first and second else first or second
-    rhs = t24 * x1 if t24 and x1 else 0
-    if lhs != rhs:
-        return "t14*x2 + rho*y2 - t24*x1 = 0", _difference(lhs, rhs)
-    span = rho + t24 if rho and t24 else rho or t24
-    lhs = t14 * y2 if t14 and y2 else 0
-    rhs = span * y1 if span and y1 else 0
-    if lhs != rhs:
-        return "t14*y2 - (rho + t24)*y1 = 0", _difference(lhs, rhs)
-    span = x1 + y2 if x1 and y2 else x1 or y2
-    lhs = span * theta4 if span and theta4 else 0
-    rhs = rho * t14 if rho and t14 else 0
-    if lhs != rhs:
-        return "(x1 + y2)*theta4 = rho*t14", _difference(lhs, rhs)
+    if residual := t14 * x2 + rho * y2 - t24 * x1:
+        return "t14*x2 + rho*y2 - t24*x1 = 0", residual
+    if residual := t14 * y2 - (rho + t24) * y1:
+        return "t14*y2 - (rho + t24)*y1 = 0", residual
+    if residual := (x1 + y2) * theta4 - rho * t14:
+        return "(x1 + y2)*theta4 = rho*t14", residual
     return None
 
 
@@ -341,14 +324,23 @@ def assemble_family_table(spec: FamilySpec) -> StructureTensor:
     return StructureTensor.from_rows(family_dimension(spec.family), rows)
 
 
+def _family_setup(spec: FamilySpec) -> FoliationSetup:
+    """assemble_family_table's table in the spec's frame, vertical every index but the last two, unchecked."""
+    dim = family_dimension(spec.family)
+    return FoliationSetup(assemble_family_table(spec), spec.signature, tuple(range(dim - 2)), (dim - 2, dim - 1))
+
+
 def build_family(spec: FamilySpec) -> FoliationSetup:
     """Build the foliation setup for a family spec; the result satisfies Jacobi.
 
     Circle-factor families are validated against the conformality constraint
     (x1 = y2, eps_X x2 + eps_Y y1 = 0) and the three residual Jacobi relations;
     violations raise ConstraintError carrying the failed relation, its
-    residual echoed shortened (reprlib).  The table is assemble_family_table's, not
-    Jacobi-checked: tests/test_family_jacobi_certificate.py proves it a Lie algebra.
+    residual echoed shortened (reprlib).  This is the check for every spec from
+    outside the sweeps; a sweep draw is checked by the sampler that accepts it
+    (verifier._draw_params), and the sweep builds it with _family_setup alone.
+    The table is assemble_family_table's, not Jacobi-checked:
+    tests/test_family_jacobi_certificate.py proves it a Lie algebra.
     """
     if spec.family in CIRCLE_FAMILIES:
         if failed := so2_failed_relation(spec.params, *spec.signature.epsilon[-2:]):
@@ -357,8 +349,7 @@ def build_family(spec: FamilySpec) -> FoliationSetup:
                 relation,
                 f"circle-family relation {relation} fails (residual {reprlib.repr(format_scalar(residual))})",
             )
-    dim = family_dimension(spec.family)
-    return FoliationSetup(assemble_family_table(spec), spec.signature, tuple(range(dim - 2)), (dim - 2, dim - 1))
+    return _family_setup(spec)
 
 
 def closed_form_minimal(spec: FamilySpec) -> bool:

@@ -37,9 +37,9 @@ from .families import (
     FamilyId,
     FamilySpec,
     _conditions_hold,
-    _first_failures,
     _family_rows,
-    build_family,
+    _family_setup,
+    _first_failures,
     closed_form_minimal,
     family_basis_names,
     family_dimension,
@@ -100,13 +100,16 @@ class SweepConfig:
                 f"signature_mode must be one of {_SIGNATURE_MODES}, got {self.signature_mode!r}"
             )
         dim = family_dimension(self.family)
+        # _signature_plan caches by the list and run_sweep keys its cases by its tuples.
+        if type(self.fixed_signatures) is not tuple:
+            raise StructureError(f"fixed_signatures must be a tuple, got {reprlib.repr(self.fixed_signatures)}")
         if self.signature_mode == "fixed":
             if not self.fixed_signatures:
                 raise StructureError("fixed signature mode needs at least one signature")
             for pos, sig in enumerate(self.fixed_signatures):
-                MetricFrame(tuple(sig))
-                if type(sig) is not tuple or len(sig) != dim:  # run_sweep keys its cases by these tuples
+                if type(sig) is not tuple or len(sig) != dim:
                     raise StructureError(f"fixed signature {reprlib.repr(sig)} is not a {dim}-tuple")
+                MetricFrame(sig)
                 if self.fixed_signatures.index(sig) < pos:  # each of its cases would count twice
                     raise StructureError(f"fixed signature {reprlib.repr(sig)} given more than once")
         elif self.fixed_signatures:
@@ -439,10 +442,13 @@ class _Case(NamedTuple):
 def _draw_cases(config: SweepConfig):
     """Yield (rejected circle attempts, cases) per draw, cases mapping each eps_X*eps_Y class to its _Case.
 
-    Each entry of a _draw_params draw is built and validated once: once per
-    draw for the semisimple families, once per class for the circle families,
-    whose x2 depends on it.  Only total geodesy is left, on both sides, and
-    the consumers decide it per class for all its signatures at once.
+    Each entry of a _draw_params draw is built once: once per draw for the
+    semisimple families, once per class for the circle families, whose x2
+    depends on it.  _draw_params has checked a circle draw's relations for
+    every class it serves, so the entry is built by families._family_setup,
+    which build_family calls after its own check of them.  Only total geodesy
+    is left, on both sides, and the consumers decide it per class for all its
+    signatures at once.
     """
     family = config.family
     # The first signature of each eps_X*eps_Y class stands for that class.
@@ -456,7 +462,7 @@ def _draw_cases(config: SweepConfig):
         cases = {}
         for params, classes in draws:
             spec = FamilySpec(family, params, frames[classes[0]])
-            setup = build_family(spec)
+            setup = _family_setup(spec)
             horizontal, vertical = FrameFreeHorizontal.from_setup(setup), FrameFreeVertical.from_setup(setup)
             params_text = {name: format_scalar(value) for name, value in params.items()}
             conditions = tuple(nonzero_tg_conditions(family, params))

@@ -71,8 +71,9 @@ class TestSpecCreation:
             FamilySpec.create("su2", {"s14": 1})
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(StructureError, match="unknown family"):
-            FamilySpec.create("so3")
+        for family in ("so3", 5, None):
+            with pytest.raises(StructureError, match="unknown family .*; known families: su2, sl2r, "):
+                FamilySpec.create(family)
 
     def test_float_signature_rejected(self):
         with pytest.raises(StructureError, match="causal characters"):

@@ -1,4 +1,4 @@
-"""The Jacobi residual has one gate: every verdict's Lie-algebra check goes through it.
+"""The Jacobi residual has one gate, and the circle relations one check site per path.
 
 `jacobi_residual` may be called from `algebra.require_lie_algebra`, the gate
 that classify, connection_coefficients and `liefol check` share, and from
@@ -6,13 +6,23 @@ that classify, connection_coefficients and `liefol check` share, and from
 itself.  A call anywhere else in src/liefol is a second gate.  `build_family`
 no longer shares the gate: its tables are Lie algebras by the polynomial
 certificate in tests/test_family_jacobi_certificate.py.
+
+`so2_failed_relation` may be called from `families.build_family`, the check
+for every spec from outside the sweeps, and from `verifier._draw_params`, the
+sampler that accepts each sweep draw; a third call site would check some draw
+twice.
 """
 
 import ast
 
+import pytest
+
 from test_options import SOURCES
 
-ALLOWED = {("algebra", "require_lie_algebra"), ("verifier", "oracle_solve_theta")}
+ALLOWED = {
+    "jacobi_residual": {("algebra", "require_lie_algebra"), ("verifier", "oracle_solve_theta")},
+    "so2_failed_relation": {("families", "build_family"), ("verifier", "_draw_params")},
+}
 
 
 def callers(source: str, module: str, callee: str) -> list[tuple[str, str]]:
@@ -28,13 +38,10 @@ def callers(source: str, module: str, callee: str) -> list[tuple[str, str]]:
     return found
 
 
-def test_jacobi_residual_is_called_only_by_the_gate_and_the_theta_oracle():
-    calls = [
-        site
-        for path in SOURCES
-        for site in callers(path.read_text(encoding="utf-8"), path.stem, "jacobi_residual")
-    ]
-    assert sorted(calls) == sorted(ALLOWED)
+@pytest.mark.parametrize("callee", sorted(ALLOWED))
+def test_callee_is_called_only_from_its_allowed_sites(callee):
+    calls = [site for path in SOURCES for site in callers(path.read_text(encoding="utf-8"), path.stem, callee)]
+    assert sorted(calls) == sorted(ALLOWED[callee])
 
 
 def test_scan_finds_calls_in_functions_methods_and_module_code():

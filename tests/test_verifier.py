@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from liefol import verifier
+from liefol import families, verifier
 from liefol.algebra import (
     FoliationSetup,
     MetricFrame,
@@ -58,7 +58,6 @@ from liefol.verifier import (
     _sample_rng,
     _signature_masks,
 )
-from test_algebra import record_zero_operands
 from test_families import rejected_sl2rxso2_table, theta_table
 
 F = Fraction
@@ -228,11 +227,13 @@ class TestSignatureEnumeration:
             SweepConfig(family="su2", samples=1, seed=0)
         with pytest.raises(StructureError):
             SweepConfig(family="bogus", samples=1, seed=0)
+        for fixed in (([1, 1, 1, 1, 1],), [(1, 1, 1, 1, 1)], (5,)):
+            with pytest.raises(StructureError):
+                SweepConfig(
+                    family=FamilyId.SU2, samples=1, seed=0, signature_mode="fixed", fixed_signatures=fixed
+                )
         with pytest.raises(StructureError):
-            SweepConfig(
-                family=FamilyId.SU2, samples=1, seed=0, signature_mode="fixed",
-                fixed_signatures=([1, 1, 1, 1, 1],),
-            )
+            SweepConfig(family=FamilyId.SU2, samples=1, seed=0, fixed_signatures=[])
 
     def test_config_rejects_a_repeated_signature(self):
         # Each of its cases would be counted twice.
@@ -892,34 +893,30 @@ def assert_draw_matches_reference(rng, reference_rng, family, bound, classes):
 class TestSo2Sampling:
     def test_draws_satisfy_constraints(self):
         rng = random.Random(9)
-        for _ in range(30):
-            draws, _ = _draw_params(rng, FamilyId.SU2xSO2, 8, (1, -1))
-            assert [classes for _, classes in draws] == [(1,), (-1,)]
-            for params, (s,) in draws:
-                assert params["y2"] == params["x1"]
-                assert params["x2"] == -s * params["y1"]
-                build_family(FamilySpec.create(FamilyId.SU2xSO2, params, (1, 1, 1, 1, 1, s)))  # must not raise
+        for family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2):
+            for classes in ((1, -1), (1,), (-1,)):
+                for _ in range(30):
+                    draws, _ = _draw_params(rng, family, 8, classes)
+                    assert [served for _, served in draws] == [(s,) for s in classes]
+                    for params, (s,) in draws:
+                        assert params["y2"] == params["x1"]
+                        assert params["x2"] == -s * params["y1"]
+                        # The sampler tests scaled integers; the draw passes on its Fractions too.
+                        assert so2_failed_relation(params, 1, s) is None
+                        build_family(FamilySpec.create(family, params, (1, 1, 1, 1, 1, s)))  # must not raise
 
-    def test_rechecking_an_accepted_draw_has_no_zero_operand(self, monkeypatch):
-        # Guards the cost of build_family's re-check of the sampler's draws, not
-        # its verdict: accepted draws lie on degenerate strata, and a product
-        # with a zero factor or a sum with a zero term builds a Fraction for nothing.
-        rng = random.Random(14)
-        draws = [
-            draw
-            for family in (FamilyId.SU2xSO2, FamilyId.SL2RxSO2)
-            for classes in ((1, -1), (1,), (-1,))
-            for _ in range(40)
-            for draw in _draw_params(rng, family, 10, classes)[0]
-        ]
-        calls, zero_calls = record_zero_operands(
-            monkeypatch, ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
-        )
-        failed = [so2_failed_relation(params, 1, s) for params, (s,) in draws]
-        monkeypatch.undo()
-        assert failed == [None] * len(draws)
-        assert calls, "the recording hooks saw no operation"
-        assert zero_calls == []
+    @pytest.mark.parametrize("family", [FamilyId.SU2xSO2, FamilyId.SL2RxSO2])
+    def test_sweep_checks_each_draw_only_in_the_sampler(self, family, monkeypatch):
+        # The sampler calls the check through its own binding, verifier.so2_failed_relation;
+        # the sweep builds the accepted draws without build_family's check.
+        config = SweepConfig(family=family, samples=20, seed=5)
+        expected = run_sweep(config).to_json()
+
+        def refuse(*args):
+            raise AssertionError("a sweep draw was checked again after the sampler accepted it")
+
+        monkeypatch.setattr(families, "so2_failed_relation", refuse)
+        assert run_sweep(config).to_json() == expected
 
     @pytest.mark.parametrize("family", [FamilyId.SU2xSO2, FamilyId.SL2RxSO2])
     def test_matches_the_fraction_sampler(self, family):
@@ -1141,7 +1138,7 @@ class TestCounterexampleSearchMatchesReference:
         assert bool(hits) != compact_riemannian
 
     def test_one_build_per_draw_and_one_classify_per_hit(self, monkeypatch):
-        counts = {"build": 0, "classify": 0, "killing": 0}
+        counts = {"table": 0, "classify": 0, "killing": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -1150,7 +1147,7 @@ class TestCounterexampleSearchMatchesReference:
 
             return wrapper
 
-        monkeypatch.setattr(verifier, "build_family", counting("build", verifier.build_family))
+        monkeypatch.setattr(families, "assemble_family_table", counting("table", families.assemble_family_table))
         monkeypatch.setattr(verifier, "classify", counting("classify", verifier.classify))
         monkeypatch.setattr(verifier, "killing_form", counting("killing", verifier.killing_form))
         # Every sl2r member is totally geodesic at (-1, 1, 1, 1, 1): each eps factor vanishes.
@@ -1164,7 +1161,7 @@ class TestCounterexampleSearchMatchesReference:
         hits = find_conjecture_counterexamples(config)
         draws_with_hits = len({json.dumps(entry["params"]) for entry in hits})
         assert 0 < draws_with_hits < config.samples < len(hits)
-        assert counts == {"build": 12, "classify": len(hits), "killing": draws_with_hits}
+        assert counts == {"table": 12, "classify": len(hits), "killing": draws_with_hits}
 
     def test_reverification_failure_raises(self, monkeypatch):
         real = verifier.classify
