@@ -141,12 +141,15 @@ class StructureTensor:
         A row of Fractions only is taken as it is; any other row goes through
         as_scalar, entry by entry.
         """
-        if dim < 1:
-            raise StructureError(f"dim must be positive, got {dim}")
+        if type(dim) is not int or dim < 1:
+            raise StructureError(f"dim must be a positive int, got {reprlib.repr(dim)}")
         # Every absent pair shares one all-zero row.
         zero_row = (ZERO,) * dim
         table = [[zero_row] * dim for _ in range(dim)]
-        for (i, j), coeffs in rows.items():
+        for pair, coeffs in rows.items():
+            i, j = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
+            if not type(i) is type(j) is int:
+                raise StructureError(f"bracket pair {_echo_tuple(pair)} is not two int indices")
             if not (0 <= i < dim and 0 <= j < dim):
                 raise StructureError(f"bracket pair ({i}, {j}) out of range for dim {dim}")
             if i >= j:

@@ -119,6 +119,8 @@ class FamilySpec:
 
     def __post_init__(self):
         expected = family_parameter_names(self.family)
+        if type(self.params) is not dict:
+            raise StructureError(f"parameters must be a dict, got {reprlib.repr(self.params)}; use FamilySpec.create")
         if tuple(self.params.keys()) != expected:
             extra = set(self.params) - set(expected)
             missing = set(expected) - set(self.params)
@@ -129,11 +131,9 @@ class FamilySpec:
             )
         if any(not isinstance(v, Fraction) for v in self.params.values()):
             raise StructureError("parameters must be exact rationals; use FamilySpec.create")
-        if self.signature.dim != family_dimension(self.family):
-            raise StructureError(
-                f"signature has dim {self.signature.dim}, "
-                f"{self.family.value} needs {family_dimension(self.family)}"
-            )
+        dim, frame = family_dimension(self.family), self.signature
+        if not isinstance(frame, MetricFrame) or frame.dim != dim:
+            raise StructureError(f"{self.family.value} needs a dim-{dim} MetricFrame, got {reprlib.repr(frame)}")
 
     @classmethod
     def create(
@@ -151,6 +151,8 @@ class FamilySpec:
         """
         fam = family if isinstance(family, FamilyId) else FamilyId.parse(family)
         frame = MetricFrame((1,) * family_dimension(fam) if signature is None else tuple(signature))
+        if params is not None and not isinstance(params, Mapping):
+            raise StructureError(f"parameters must be a mapping of names to values, got {reprlib.repr(params)}")
         given = dict(params or {})
         expected = family_parameter_names(fam)
         unknown = set(given) - set(expected)
@@ -406,19 +408,15 @@ def _tg_terms(
             yield label, None, _sum_of_products(((1, params[u], params[lhs]), (1, params[v], params[rhs])))
 
 
-def _eps_scale(factor: tuple[int, int, int] | None, eps: Sequence[int]) -> int:
-    return 1 if factor is None else eps[factor[0]] + factor[1] * eps[factor[2]]
-
-
 def _first_failures(conditions: Iterable[tuple], minus: Sequence[int], within: int):
     """Yield (label, bits) per one of nonzero_tg_conditions, the signatures of within where it is the first to fail.
 
     minus[k] is the mask of the signatures with eps_k = -1, so eps_i != eps_j
     exactly on minus[i] ^ minus[j].  The eps factor eps_i + s*eps_j of a
-    condition (see _eps_scale) is nonzero, and the condition fails, exactly
-    where (eps_i = eps_j) == (s > 0); a circle condition (None) has no eps
-    factor and fails everywhere.  The bits of within that no condition takes
-    are the signatures where every condition holds.
+    condition is nonzero, and the condition fails, exactly where
+    (eps_i = eps_j) == (s > 0); a circle condition (None) has no eps factor
+    and fails everywhere.  The bits of within that no condition takes are the
+    signatures where every condition holds.
     """
     for label, factor in conditions:
         if factor is None:
@@ -449,24 +447,19 @@ def nonzero_tg_conditions(family: FamilyId, params: Mapping[str, Fraction]) -> I
     return ((label, factor) for label, factor, coeff in _tg_terms(family, params) if coeff)
 
 
-def first_violated_condition(conditions: Iterable[tuple], eps: Sequence[int]) -> str | None:
-    """Label of the first of nonzero_tg_conditions that fails for causal characters eps, else None."""
-    return next((label for label, factor in conditions if _eps_scale(factor, eps)), None)
-
-
 def totally_geodesic_conditions(spec: FamilySpec) -> list[tuple[str, Fraction]]:
     """The family's exact condition list: totally geodesic iff every value is zero."""
     eps = spec.signature.epsilon
-    return [
-        (label, scale * coeff if (scale := _eps_scale(factor, eps)) and coeff else ZERO)
-        for label, factor, coeff in _tg_terms(spec.family, spec.params)
-    ]
+    values = []
+    for label, factor, coeff in _tg_terms(spec.family, spec.params):
+        scale = 1 if factor is None else eps[factor[0]] + factor[1] * eps[factor[2]]
+        values.append((label, scale * coeff if scale and coeff else ZERO))
+    return values
 
 
 def closed_form_totally_geodesic(spec: FamilySpec) -> bool:
-    """True iff every totally_geodesic_conditions value vanishes (stops at the first that does not)."""
-    conditions = nonzero_tg_conditions(spec.family, spec.params)
-    return first_violated_condition(conditions, spec.signature.epsilon) is None
+    """True iff every totally_geodesic_conditions value is zero."""
+    return not any(value for _, value in totally_geodesic_conditions(spec))
 
 
 _RAW_SO2_COEFFS = (

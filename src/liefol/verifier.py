@@ -44,7 +44,6 @@ from .families import (
     family_basis_names,
     family_dimension,
     family_parameter_names,
-    first_violated_condition,
     nonzero_tg_conditions,
     so2_failed_relation,
 )
@@ -429,7 +428,6 @@ class _Case(NamedTuple):
     """What the signatures of one eps_X*eps_Y class of a draw share; a NamedTuple, as FrameFreeVertical is."""
 
     setup: FoliationSetup
-    params: dict[str, Fraction]
     params_text: dict[str, str]
     horizontal: FrameFreeHorizontal
     vertical: FrameFreeVertical
@@ -470,8 +468,38 @@ def _draw_cases(config: SweepConfig):
             for s in classes:
                 conformal, semi, minimal = flags = horizontal.flags(class_eps[s])
                 agrees = conformal and (semi, minimal) == closed
-                cases[s] = _Case(setup, params, params_text, horizontal, vertical, flags, closed, agrees, conditions)
+                cases[s] = _Case(setup, params_text, horizontal, vertical, flags, closed, agrees, conditions)
         yield attempts, cases
+
+
+def _conjecture_entries(config: SweepConfig, cases: dict, recorded: int, block, compact_type: bool) -> list[dict]:
+    """One draw's conjecture entries, one per set bit of recorded, in signature order; block is a _Blocks lookup.
+
+    Per class, the first violated condition and the sff_V witness are decided
+    for all its recorded signatures at once (_first_failures, witnesses).
+    """
+    family = config.family
+    signatures, minus, served = _signature_plan(family, config.signature_mode, config.fixed_signatures)
+    names = family_basis_names(family)
+    violated, witness = {}, {}
+    for s, case in cases.items():
+        within = recorded & served[s]
+        if not within:
+            continue
+        for label, bits in _first_failures(case.conditions, minus, within):
+            violated.update(dict.fromkeys(_bits(bits), label))
+        for bits, (i, j), vec in case.vertical.witnesses(minus, within):
+            texts = block((names[i], names[j])), block(_texts(vec))
+            witness.update(dict.fromkeys(_bits(bits), texts))
+    entries = []
+    for n in _bits(recorded):
+        eps = signatures[n]
+        entry = _describe(family, cases[eps[-2] * eps[-1]].params_text, block(eps))
+        entry["violatedCondition"] = violated.get(n)
+        entry["witnessPair"], entry["witnessValue"] = witness[n]
+        entry["compactType"] = compact_type
+        entries.append(entry)
+    return entries
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -487,7 +515,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """
     family = config.family
     signatures, minus, served = _signature_plan(family, config.signature_mode, config.fixed_signatures)
-    names = family_basis_names(family)
     track_conjectures = family not in CIRCLE_FAMILIES
     compact_type = family in COMPACT_FAMILIES
     block = _Blocks().__getitem__
@@ -548,25 +575,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         # The recorded entries of this draw: the first set bits, up to the cap.
         recorded = _first_bits(bent, DETAIL_CAP - len(tg_details))
         if recorded:
-            # Per recorded signature, the first violated condition and the witness,
-            # decided per class for all its recorded signatures at once.
-            violated, witness = {}, {}
-            for s, case in cases.items():
-                within = recorded & served[s]
-                if not within:
-                    continue
-                for label, bits in _first_failures(case.conditions, minus, within):
-                    violated.update(dict.fromkeys(_bits(bits), label))
-                for bits, (i, j), vec in case.vertical.witnesses(minus, within):
-                    texts = block((names[i], names[j])), block(_texts(vec))
-                    witness.update(dict.fromkeys(_bits(bits), texts))
-            for n in _bits(recorded):
-                eps = signatures[n]
-                entry = _describe(family, cases[eps[-2] * eps[-1]].params_text, block(eps))
-                entry["violatedCondition"] = violated.get(n)
-                entry["witnessPair"], entry["witnessValue"] = witness[n]
-                entry["compactType"] = compact_type
-                tg_details.append(entry)
+            tg_details += _conjecture_entries(config, cases, recorded, block, compact_type)
 
         recorded = _first_bits(curved, DETAIL_CAP - len(minimality_details))
         if recorded:
@@ -610,12 +619,12 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
     """Search for conformal, semisimple-vertical members that are not totally geodesic.
 
     Only meaningful for the semisimple families (the premise needs a
-    semisimple subgroup).  Per draw one build as in the sweep; per class the
-    hits, a mask over the signatures picked from the frame-free forms; per
-    hit, in signature order, classify on the draw's table in that frame
-    re-verifies the hit (ReverificationError if it does not) and gives the
-    sff_V witness.  compactType, from the Killing form of the vertical block,
-    is computed once per draw with a hit.
+    semisimple subgroup).  Per draw one build and a mask of hits, as in the
+    sweep; their entries come from the sweep's builder (_conjecture_entries),
+    with compactType from the vertical Killing form, once per draw with a hit.
+    Per hit, classify in its frame re-verifies it (ReverificationError if it
+    does not) and gives "minimal".  The entries of one call share their
+    params, signature and witness lists; treat them as read-only.
     """
     family = config.family
     if family in CIRCLE_FAMILIES:
@@ -624,7 +633,7 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
             "the conjecture premise requires a semisimple one"
         )
     signatures, minus, served = _signature_plan(family, config.signature_mode, config.fixed_signatures)
-    names = family_basis_names(family)
+    block = _Blocks().__getitem__
     results: list[dict] = []
     for _, cases in _draw_cases(config):
         hits = 0
@@ -632,28 +641,21 @@ def find_conjecture_counterexamples(config: SweepConfig) -> list[dict]:
             if case.flags[0]:  # conformal
                 within = served[s]
                 hits |= within ^ case.vertical.totally_geodesic(minus, within)
-        compact_type = None
-        for n in _bits(hits):
+        if not hits:
+            continue
+        setup = next(iter(cases.values())).setup  # a semisimple table does not depend on the class
+        compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
+        for n, entry in zip(_bits(hits), _conjecture_entries(config, cases, hits, block, compact_type)):
             eps = signatures[n]
-            case = cases[eps[-2] * eps[-1]]
-            minimal = case.flags[2]
-            setup = case.setup
+            minimal = cases[eps[-2] * eps[-1]].flags[2]
             hit = FoliationSetup(setup.tensor, MetricFrame(eps), setup.vertical, setup.horizontal)
             report = classify(hit, require_jacobi=False)
             if (report.conformal, report.totally_geodesic, report.minimal) != (True, False, minimal):
                 raise ReverificationError(
-                    f"{family.value} params {case.params_text} signature {list(eps)}: classify gives "
+                    f"{family.value} params {entry['params']} signature {list(eps)}: classify gives "
                     f"conformal={report.conformal}, totally geodesic={report.totally_geodesic}, "
                     f"minimal={report.minimal}, not the search's True, False, {minimal}"
                 )
-            if compact_type is None:
-                compact_type = is_negative_definite(killing_form(setup.tensor, setup.vertical))
-            (i, j), vec = report.totally_geodesic_witnesses[0]
-            entry = _describe(family, case.params_text, list(eps))
-            entry["violatedCondition"] = first_violated_condition(case.conditions, eps)
-            entry["witnessPair"] = [names[i], names[j]]
-            entry["witnessValue"] = list(_texts(vec))
-            entry["compactType"] = compact_type
             entry["minimal"] = report.minimal
             results.append(entry)
     return results

@@ -138,6 +138,12 @@ class TestStructureTensor:
             StructureTensor.from_rows(3, {(1, 0): [0, 0, 1]})
         with pytest.raises(StructureError, match="out of range"):
             StructureTensor.from_rows(3, {(0, 5): [0, 0, 1]})
+        for dim in (True, 3.0):
+            with pytest.raises(StructureError, match="dim must be a positive int"):
+                StructureTensor.from_rows(dim, {})
+        for pair in ((True, 2), (0,), (0, 1, 2), "ab"):
+            with pytest.raises(StructureError, match="is not two int indices"):
+                StructureTensor.from_rows(3, {pair: [0, 0, 1]})
 
 
 class TestBracket:

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from liefol import families
-from liefol.algebra import ConstraintError, StructureError, StructureTensor, jacobi_residual
+from liefol.algebra import ConstraintError, MetricFrame, StructureError, StructureTensor, jacobi_residual
 from liefol.families import (
     FamilyId,
     FamilySpec,
+    _conditions_hold,
+    _first_failures,
     assemble_family_table,
     build_family,
     build_so2_raw_setup,
@@ -19,11 +21,12 @@ from liefol.families import (
     family_basis_names,
     family_dimension,
     family_parameter_names,
+    nonzero_tg_conditions,
     so2_failed_relation,
     totally_geodesic_conditions,
 )
 from liefol.geometry import classify
-from liefol.verifier import _draw_params
+from liefol.verifier import _draw_params, _signature_masks
 
 F = Fraction
 
@@ -74,6 +77,17 @@ class TestSpecCreation:
         for family in ("so3", 5, None):
             with pytest.raises(StructureError, match="unknown family .*; known families: su2, sl2r, "):
                 FamilySpec.create(family)
+
+    def test_malformed_spec_rejected(self):
+        params = FamilySpec.create("su2").params
+        frame = MetricFrame((1,) * 5)
+        with pytest.raises(StructureError, match="needs a dim-5 MetricFrame"):
+            FamilySpec(FamilyId.SU2, params, (1,) * 5)
+        with pytest.raises(StructureError, match="parameters must be a dict"):
+            FamilySpec(FamilyId.SU2, list(params), frame)
+        for given in ("b11", 5):
+            with pytest.raises(StructureError, match="parameters must be a mapping"):
+                FamilySpec.create("su2", given)
 
     def test_float_signature_rejected(self):
         with pytest.raises(StructureError, match="causal characters"):
@@ -303,14 +317,21 @@ class TestClosedFormTotallyGeodesic:
 
     def test_condition_labels_match_fast_predicate(self):
         rng = random.Random(12)
+        verdicts = set()
         for family in ALL_FAMILIES:
             for _ in range(10):
                 dim = family_dimension(family)
                 sig = tuple(rng.choice((1, -1)) for _ in range(dim))
                 [(params, _)], _ = _draw_params(rng, family, 5, (sig[-2] * sig[-1],))
                 spec = FamilySpec.create(family, params, sig)
-                listed = all(v == 0 for _, v in totally_geodesic_conditions(spec))
-                assert listed == closed_form_totally_geodesic(spec)
+                # The per-frame list against the sweep's partitions on this frame's one-signature masks.
+                first = next((label for label, v in totally_geodesic_conditions(spec) if v), None)
+                conditions = tuple(nonzero_tg_conditions(family, spec.params))
+                minus, _ = _signature_masks((sig,))
+                assert [label for label, _ in _first_failures(conditions, minus, 1)] == ([first] if first else [])
+                assert _conditions_hold(conditions, minus, 1) == (first is None) == closed_form_totally_geodesic(spec)
+                verdicts.add(first is None)
+        assert verdicts == {True, False}
 
     def test_circle_family_x_conditions(self):
         # Nontrivially conformal: x1 != 0 couples to the block coefficients.

@@ -1,4 +1,4 @@
-"""The Jacobi residual has one gate, and the circle relations one check site per path.
+"""The Jacobi residual has one gate, the circle relations one check site per path, and conjecture entries one builder.
 
 `jacobi_residual` may be called from `algebra.require_lie_algebra`, the gate
 that classify, connection_coefficients and `liefol check` share, and from
@@ -11,6 +11,12 @@ certificate in tests/test_family_jacobi_certificate.py.
 for every spec from outside the sweeps, and from `verifier._draw_params`, the
 sampler that accepts each sweep draw; a third call site would check some draw
 twice.
+
+Conjecture entries have one builder, `verifier._conjecture_entries`, which the
+sweep and the counterexample search share.  It alone reads the witness
+partition `FrameFreeVertical.witnesses`, and the violated-condition partition
+`families._first_failures` is read by it and by `families._conditions_hold`,
+the closed-form verdict.  A call anywhere else is a second entry builder.
 """
 
 import ast
@@ -22,6 +28,8 @@ from test_options import SOURCES
 ALLOWED = {
     "jacobi_residual": {("algebra", "require_lie_algebra"), ("verifier", "oracle_solve_theta")},
     "so2_failed_relation": {("families", "build_family"), ("verifier", "_draw_params")},
+    "_first_failures": {("families", "_conditions_hold"), ("verifier", "_conjecture_entries")},
+    "witnesses": {("verifier", "_conjecture_entries")},
 }
 
 

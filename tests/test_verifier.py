@@ -30,9 +30,8 @@ from liefol.families import (
     family_basis_names,
     family_dimension,
     family_parameter_names,
-    first_violated_condition,
-    nonzero_tg_conditions,
     so2_failed_relation,
+    totally_geodesic_conditions,
 )
 from liefol.geometry import (
     FrameFreeHorizontal,
@@ -457,6 +456,11 @@ def reference_totally_geodesic(vertical, eps):
     return not any(any(vec) for vec in vertical.form(eps).values())
 
 
+def first_nonzero_condition(spec):
+    """The label of the first nonzero totally_geodesic_conditions value in spec's frame, else None."""
+    return next((label for label, value in totally_geodesic_conditions(spec) if value), None)
+
+
 def reference_run_sweep(config):
     """run_sweep as a loop over every signature of every draw, kept as the reference for the masks."""
     family = config.family
@@ -473,7 +477,7 @@ def reference_run_sweep(config):
             case = cases[eps[-2] * eps[-1]]
             conformal, semi, minimal = case.flags
             geodesic = reference_totally_geodesic(case.vertical, eps)
-            violated = first_violated_condition(case.conditions, eps)
+            violated = first_nonzero_condition(FamilySpec.create(family, case.params_text, eps))
             for key, value in zip(flags, (conformal, semi, minimal, geodesic)):
                 flags[key] += value
             head = {"family": family.value, "params": case.params_text, "signature": list(eps)}
@@ -744,10 +748,10 @@ class TestSweepBuildsOncePerDraw:
         for _, by_class in _draw_cases(config):
             for n, sig in enumerate(signatures):
                 case = by_class[sig[-2] * sig[-1]]
-                spec = FamilySpec(family, case.params, MetricFrame(sig))
+                spec = FamilySpec.create(family, case.params_text, sig)
                 circle_mixed_rows |= bool(spec.params.get("y1") and spec.params.get("x1"))
                 # A family table is a Lie algebra (tests/test_family_jacobi_certificate.py).
-                setup = build_family(FamilySpec.create(family, spec.params, sig))
+                setup = build_family(spec)
                 report = classify(setup, require_jacobi=False)
                 # Every frame-free pick equals classify, and sff_H its own entry point,
                 # on a table built in this frame.
@@ -774,9 +778,6 @@ class TestSweepBuildsOncePerDraw:
                 ), sig
                 assert geodesic == (not any(any(vec) for vec in via_connection.values()))
                 # ... and its per-draw closed forms equal the per-case predicates.
-                assert (first_violated_condition(case.conditions, sig) is None) == (
-                    closed_form_totally_geodesic(spec)
-                )
                 assert bool(_conditions_hold(case.conditions, minus, everything) >> n & 1) == (
                     closed_form_totally_geodesic(spec)
                 )
@@ -1100,9 +1101,7 @@ def reference_counterexamples(config):
                 "family": family.value,
                 "params": {name: format_scalar(v) for name, v in spec.params.items()},
                 "signature": list(sig),
-                "violatedCondition": first_violated_condition(
-                    nonzero_tg_conditions(family, spec.params), sig
-                ),
+                "violatedCondition": first_nonzero_condition(spec),
             }
             (i, j), vec = report.totally_geodesic_witnesses[0]
             entry["witnessPair"] = [names[i], names[j]]
@@ -1136,6 +1135,17 @@ class TestCounterexampleSearchMatchesReference:
         # Compact-type Riemannian members are the conjecture's own setting: no hits there.
         compact_riemannian = family in (FamilyId.SU2, FamilyId.SU2xSU2) and mode == "riemannian-only"
         assert bool(hits) != compact_riemannian
+
+    @pytest.mark.parametrize("family", SEMISIMPLE)
+    def test_sweep_records_the_first_search_entries(self, family):
+        # Both write their entries with one builder: the sweep's conjecture
+        # entries are the search's first DETAIL_CAP, less "minimal".
+        config = SweepConfig(family=family, samples=2 if family_dimension(family) == 8 else 12, seed=26)
+        hits = find_conjecture_counterexamples(config)
+        report = run_sweep(config)
+        assert len(hits) == report.tg_counterexample_count > verifier.DETAIL_CAP
+        searched = [{key: value for key, value in entry.items() if key != "minimal"} for entry in hits]
+        assert json.dumps(list(report.tg_counterexamples)) == json.dumps(searched[: verifier.DETAIL_CAP])
 
     def test_one_build_per_draw_and_one_classify_per_hit(self, monkeypatch):
         counts = {"table": 0, "classify": 0, "killing": 0}
